@@ -17,6 +17,7 @@ from .core import (
     DomainError,
     GoodnessVerdict,
     InterpolationVerdict,
+    InvariantViolated,
     PointCountAnswer,
     Tuple,
     bn_interpolation,
@@ -64,7 +65,6 @@ from .prover import (
 )
 from .rules import (
     RULE_ORDER,
-    NonIntegralBarEll,
     PreconditionViolated,
     RuleId,
     RuleParams,
@@ -78,6 +78,7 @@ __all__ = [
     # core
     "Tuple",
     "DomainError",
+    "InvariantViolated",
     "GoodnessVerdict",
     "InterpolationVerdict",
     "PointCountAnswer",
@@ -119,7 +120,6 @@ __all__ = [
     "RuleParams",
     "RULE_ORDER",
     "PreconditionViolated",
-    "NonIntegralBarEll",
     "apply",
     "enumerate_instances",
     "first_instance",

@@ -38,6 +38,7 @@ from .prover import (
     Irreducible,
     RuleApp,
     certify as _certify,
+    check_workers,
     run_sporadic_search,
     verify_certificate,
     verify_thm14,
@@ -53,13 +54,26 @@ _FORMAT = click.option(
     help="Output format.",
 )
 
+def _fail_input(msg: str) -> None:
+    click.echo(f"error: {msg}", err=True)
+    sys.exit(1)
+
+
+def _parse_workers(_ctx, _param, value):
+    try:
+        return check_workers(value)
+    except ValueError as e:
+        _fail_input(str(e))
+
+
 _WORKERS = click.option(
     "--workers",
     type=int,
     default=1,
     show_default=True,
     envvar="BNINTERP_WORKERS",
-    help="Worker processes (also via BNINTERP_WORKERS).",
+    callback=_parse_workers,
+    help="Worker processes, at most the CPU count (also via BNINTERP_WORKERS).",
 )
 
 
@@ -76,11 +90,6 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def _fail_input(msg: str) -> None:
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(1)
 
 
 def _load_config(ctx, param, value):

@@ -23,6 +23,11 @@ class DomainError(ValueError):
     """Raised when an operation is called outside its mathematical domain."""
 
 
+class InvariantViolated(RuntimeError):
+    """An internal consistency check failed: a defect in the package, not a
+    property of its input."""
+
+
 class Tuple(NamedTuple):
     """The 5-integer index (d, g, r, ell, m).
 

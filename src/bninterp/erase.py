@@ -9,7 +9,7 @@ multiset is *erasable* when some specialization order keeps every step
 inside the case table and ends with t2 = 0 and a strongly general subspace.
 
 Rank bookkeeping: each case conserves twist*(r-1) + t1 + t2 (the Euler
-characteristic of the accumulated modification), which is asserted after
+characteristic of the accumulated modification), which is checked after
 every combination step.
 """
 
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from typing import NamedTuple, Optional
+
+from .core import InvariantViolated
 
 STRONG = "strong"
 WEAK = "weak"
@@ -83,7 +85,7 @@ def _case_outcomes(a1, a2, astr, b1, b2, bstr, r):
     """All case-table outcomes for ordered data (a1, a2) and (b1, b2).
 
     Yields (t1, t2, strength, twist_increment).  Guards can overlap, but
-    only at outcomes of equal rank (asserted in combine); the strengths may
+    only at outcomes of equal rank (checked in combine); the strengths may
     differ and the best provable one wins.
     """
     k = r - 1
@@ -117,13 +119,15 @@ def combine(state: AccState, incoming: ModType, r: int) -> Optional[AccState]:
     if not outcomes:
         return None
     ranks = {(t1, t2, dt) for t1, t2, _, dt in outcomes}
-    assert len(ranks) == 1, f"case guards disagree on rank: {outcomes}"
+    if len(ranks) != 1:
+        raise InvariantViolated(f"case guards disagree on rank: {outcomes}")
     t1, t2, dt = ranks.pop()
     strength = STRONG if any(o[2] == STRONG for o in outcomes) else WEAK
     result = normalize(AccState(t1, t2, strength, st.twist + inc.twist + dt), r)
-    assert weight(*result[:2], result.twist, r) == weight(st.t1, st.t2, st.twist, r) + weight(
+    if weight(*result[:2], result.twist, r) != weight(st.t1, st.t2, st.twist, r) + weight(
         inc.t1, inc.t2, inc.twist, r
-    ), "rank conservation violated"
+    ):
+        raise InvariantViolated("rank conservation violated")
     return result
 
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Optional, Union
 
-from .core import SPORADIC30, Tuple, is_good, measure, rho
+from .core import SPORADIC30, XEX, InvariantViolated, Tuple, is_good, measure, rho
 from .rules import (
     RULE_ORDER,
     PreconditionViolated,
@@ -49,6 +51,34 @@ class BoundsExceeded(Exception):
     def __init__(self, t: Tuple):
         super().__init__(f"search bounds exceeded at {t}")
         self.tuple = t
+
+
+def _enabled_rules(disabled: Iterable[RuleId]) -> tuple:
+    off = set(disabled)
+    return tuple(r for r in RULE_ORDER if r not in off)
+
+
+# ---------------------------------------------------------------------------
+# parallel map
+
+
+def check_workers(workers: int) -> int:
+    """The worker-process count to use for a requested `workers`: values
+    above the CPU count are clamped to it; values below 1 (or non-integers)
+    raise ValueError."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    return min(workers, os.cpu_count() or 1)
+
+
+def _pmap(fn: Callable, items: list, workers: int, chunksize: int = 1) -> list:
+    """[fn(x) for x in items], spread over at most `workers` forked
+    processes (validated by check_workers); in-process when one suffices."""
+    n = min(check_workers(workers), len(items))
+    if n <= 1:
+        return [fn(x) for x in items]
+    with multiprocessing.get_context("fork").Pool(n) as pool:
+        return pool.map(fn, items, chunksize=chunksize)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +234,7 @@ def certify(
     recursion itself decide (slower, occasionally more complete)."""
     ax = axioms if axioms is not None else AxiomSet()
     mm = {} if memo is None else memo
-    rules = tuple(r for r in RULE_ORDER if r not in set(disabled))
+    rules = _enabled_rules(disabled)
     depth_cap = t.r + t.d + t.m + 8
 
     if recursive_accept:
@@ -213,7 +243,8 @@ def certify(
         accept = lambda s: ax.tag_of(s) is not None or is_good(s).is_good  # noqa: E731
 
     def go(node: Tuple, depth: int) -> None:
-        assert depth <= depth_cap, f"reduction depth blew past {depth_cap} at {node}"
+        if depth > depth_cap:
+            raise InvariantViolated(f"reduction depth blew past {depth_cap} at {node}")
         if node in mm:
             if mm[node] is None:
                 raise Irreducible(node)
@@ -341,8 +372,6 @@ def enumerate_sporadic(r_max: int = 13) -> list:
             if _on_delta1_locus(t):
                 continue
             out.add(t)
-    from .core import XEX
-
     for x in XEX:
         if x.r > r_max:
             continue
@@ -387,16 +416,6 @@ class SporadicReport:
                 yield (t, "reducible", w[0], w[1])
 
 
-def _sporadic_task(args):
-    row, disabled_values = args
-    t = Tuple(*row)
-    rules = tuple(r for r in RULE_ORDER if r.value not in disabled_values)
-    w = find_reduction(t, rules)
-    if w is None:
-        return (row, None, None)
-    return (row, w[0].value, w[1].to_json())
-
-
 def run_sporadic_search(
     r_max: int = 13,
     disabled: Iterable[RuleId] = (),
@@ -405,14 +424,15 @@ def run_sporadic_search(
 ) -> SporadicReport:
     """Try to reduce every sporadic-sweep tuple once (subgoals accepted by
     goodness alone, or by bounded recursive certification) and report the
-    irreducible remainder."""
+    irreducible remainder.  Serial and parallel runs give equal reports;
+    recursive acceptance shares one memo and so always runs serially."""
+    workers = check_workers(workers)
     tuples = enumerate_sporadic(r_max)
     disabled = tuple(disabled)
-    witnesses = {}
+    rules = _enabled_rules(disabled)
     if recursive_accept:
         memo = {}
         ax = AxiomSet()
-        rules = tuple(r for r in RULE_ORDER if r not in set(disabled))
 
         def certifies(s: Tuple) -> bool:
             try:
@@ -421,27 +441,10 @@ def run_sporadic_search(
             except Irreducible:
                 return False
 
-        for t in tuples:
-            witnesses[t] = find_reduction(t, rules, accept=certifies)
-    elif workers > 1:
-        disabled_values = frozenset(r.value for r in disabled)
-        args = [(tuple(t), disabled_values) for t in tuples]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            for row, rule_value, params_doc in pool.map(_sporadic_task, args, chunksize=64):
-                t = Tuple(*row)
-                if rule_value is None:
-                    witnesses[t] = None
-                else:
-                    witnesses[t] = (
-                        RuleId(rule_value),
-                        RuleParams.from_json(params_doc),
-                        None,
-                    )
+        found = [find_reduction(t, rules, accept=certifies) for t in tuples]
     else:
-        rules = tuple(r for r in RULE_ORDER if r not in set(disabled))
-        for t in tuples:
-            witnesses[t] = find_reduction(t, rules)
+        found = _pmap(partial(find_reduction, rules=rules), tuples, workers, chunksize=64)
+    witnesses = dict(zip(tuples, found))
     irreducible = sorted(
         (t for t, w in witnesses.items() if w is None),
         key=lambda t: (t.r, t.g, t.d, t.ell, t.m),
@@ -474,8 +477,7 @@ def _covers_outside_box(t: Tuple) -> bool:
     return d >= g + 2 * r - 1 or g >= r or m >= r - 1
 
 
-def _thm14_one_r(args):
-    (r,) = args
+def _thm14_one_r(r: int):
     examined = 0
     uncovered = []
     for t in _box_tuples(r):
@@ -510,14 +512,7 @@ def verify_thm14(r_max: int, r_min: int = 14, workers: int = 1) -> Thm14Report:
     """Check that every good box tuple with r_min <= r <= r_max (off the
     delta = 1 locus) is dispatched by some sweep rule, and that every good
     tuple in a shell outside the box satisfies a peeling precondition."""
-    rs = [(r,) for r in range(r_min, r_max + 1)]
-    if workers > 1 and len(rs) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(workers, len(rs))) as pool:
-            results = pool.map(_thm14_one_r, rs)
-    else:
-        results = [_thm14_one_r(a) for a in rs]
-    results.sort(key=lambda row: row[0])
+    results = _pmap(_thm14_one_r, list(range(r_min, r_max + 1)), workers)
     examined = sum(r[1] for r in results)
     uncovered = [Tuple(*t) for row in results for t in row[2]]
     outside_checked = sum(r[3] for r in results)

@@ -1,9 +1,10 @@
 """Reduction rules: checked implications from one tuple to subgoal tuples.
 
-Each rule validates every hypothesis of its inductive argument exactly and
-emits the subgoal list; `enumerate_instances` walks all parameter choices
-whose subgoals pass a caller-supplied acceptance predicate.  The rule layer
-never decides whether a subgoal "holds" -- acceptance is the caller's.
+Each rule has one check, which returns the first violated hypothesis of
+its inductive argument (or None), and a subgoal formula.  `apply` raises
+the violated hypothesis as PreconditionViolated and otherwise returns the
+subgoal list; it is the validator `verify_certificate` trusts.  The rule
+layer never decides whether a subgoal "holds" -- acceptance is the caller's.
 
 All delta-window comparisons |delta - X| <= 1 - c/(r-1) are evaluated in
 cross-multiplied integer form |N - X(r-1)| <= (r-1) - c, where N is the
@@ -15,15 +16,32 @@ sum: the subgoal depends on sum_n alone, each n_i is confined to
 be avoided (forbidden when the subgoal sits on the degree-(r+1) elliptic
 boundary) is a function of (m', sum_n).  This collapses an exponential
 search to a linear one without changing the reachable subgoal set.
+
+Enumeration contract.  `enumerate_instances` yields a rule's instances in
+canonical (lexicographic parameter) order, and its enumerators solve the
+rule's guard instead of generating candidates and rejecting them.  Every
+window margin is below r - 1, so a window admits at most two consecutive
+centres X and only one of them has the parity the parameters force; the
+free parameter (d' for the master family, eps for two-proj and
+m0-delta-35) is then confined to a closed-form interval, and only that
+interval is visited.  For each candidate the subgoals are computed and
+handed to the caller's `accept` first; the rule's check -- the code
+`apply` runs -- runs only on the candidates `accept` kept.  So every
+yielded instance has passed the rule's check, and rejected candidates are
+never validated.  A kept candidate that fails the check would be a defect
+in its enumerator and raises InvariantViolated.  A rule without parameters
+has no candidates to solve for: its check is its guard and runs before
+`accept`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .core import Tuple, delta_numerator, is_good
+from .core import InvariantViolated, Tuple, delta_numerator, is_good
 from .erase import erasable_fast, make_collection
 
 
@@ -33,11 +51,6 @@ class PreconditionViolated(ValueError):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-class NonIntegralBarEll(RuntimeError):
-    """(r-1)m' - sum_n came out odd.  Unreachable once the parity
-    precondition has passed; kept as an internal assertion."""
 
 
 class RuleId(Enum):
@@ -105,124 +118,111 @@ class RuleParams:
         return cls(**doc)
 
 
-def _need(cond: bool, reason: str) -> None:
-    if not cond:
-        raise PreconditionViolated(reason)
+_NO_PARAMS = RuleParams()
 
 
 # ---------------------------------------------------------------------------
-# twist-height sums
+# shared hypotheses
 
 
-def _check_sum_n(m_prime: int, sum_n: int, r: int, exclude_2: bool, any2: bool) -> None:
-    """Validate that a multiset of m' heights n_i with the stated sum,
-    parity, range, and 2-usage exists."""
+def _sum_n_violation(
+    m_prime: int, sum_n: int, r: int, exclude_2: bool, any2: bool
+) -> Optional[str]:
+    """Why no multiset of m' heights n_i has the stated sum, parity, range
+    and 2-usage; None when one exists."""
     if m_prime == 0:
-        _need(sum_n == 0, "sum_n nonzero with no twist heights")
-        _need(not any2, "any_ni_is_2 set with no twist heights")
-        return
-    _need(sum_n % 2 == (m_prime * (r - 1)) % 2, "sum_n parity mismatch")
+        if sum_n != 0:
+            return "sum_n nonzero with no twist heights"
+        if any2:
+            return "any_ni_is_2 set with no twist heights"
+        return None
+    if sum_n % 2 != (m_prime * (r - 1)) % 2:
+        return "sum_n parity mismatch"
     if r % 2 == 1:  # heights even, from {2, 4, ..., r-1}
         if any2:
-            _need(not exclude_2, "height 2 forbidden on the elliptic boundary")
-            _need(
-                2 + 2 * (m_prime - 1) <= sum_n <= 2 + (r - 1) * (m_prime - 1),
-                "sum_n out of range for a multiset containing 2",
-            )
+            if exclude_2:
+                return "height 2 forbidden on the elliptic boundary"
+            if not 2 + 2 * (m_prime - 1) <= sum_n <= 2 + (r - 1) * (m_prime - 1):
+                return "sum_n out of range for a multiset containing 2"
         else:
-            _need(4 <= r - 1, "no height other than 2 exists")
-            _need(
-                4 * m_prime <= sum_n <= (r - 1) * m_prime,
-                "sum_n out of range for heights >= 4",
-            )
+            if 4 > r - 1:
+                return "no height other than 2 exists"
+            if not 4 * m_prime <= sum_n <= (r - 1) * m_prime:
+                return "sum_n out of range for heights >= 4"
     else:  # heights odd, from {3, 5, ..., r-1}
-        _need(not any2, "heights are odd, none can be 2")
-        _need(
-            3 * m_prime <= sum_n <= (r - 1) * m_prime,
-            "sum_n out of range for odd heights",
-        )
-
-
-def _sum_choices(
-    m_prime: int, r: int, lo: int, hi: int, exclude_2: bool
-) -> Iterator[tuple[int, bool]]:
-    """Feasible (sum_n, any_ni_is_2) pairs with lo <= sum_n <= hi, in
-    ascending order.  The 2-flag is canonical: set only when every
-    realizing multiset must contain a height 2."""
-    if m_prime == 0:
-        if lo <= 0 <= hi:
-            yield (0, False)
-        return
-    n_hi = r - 1
-    if r % 2 == 1:
-        n_lo = 4 if exclude_2 else 2
-    else:
-        n_lo = 3
-    if n_lo > n_hi:
-        return
-    par = (m_prime * (r - 1)) % 2
-    s = max(lo, m_prime * n_lo)
-    if s % 2 != par:
-        s += 1
-    top = min(hi, m_prime * n_hi)
-    while s <= top:
-        if r % 2 == 1 and not exclude_2:
-            forced_2 = s < 4 * m_prime or 4 > n_hi
-            yield (s, forced_2)
-        else:
-            yield (s, False)
-        s += 2
+        if any2:
+            return "heights are odd, none can be 2"
+        if not 3 * m_prime <= sum_n <= (r - 1) * m_prime:
+            return "sum_n out of range for odd heights"
+    return None
 
 
 def _bar_ell(ell: int, ell_prime: int, m_prime: int, sum_n: int, r: int) -> int:
-    num = (r - 1) * m_prime - sum_n
-    if num % 2 != 0:
-        raise NonIntegralBarEll(f"(r-1)m' - sum_n = {num} is odd")
-    return ell - ell_prime + num // 2
+    # (r-1)m' - sum_n is even once the parity hypothesis holds
+    return ell - ell_prime + ((r - 1) * m_prime - sum_n) // 2
+
+
+def _window_missed(t: Tuple, x: int, margin: int) -> bool:
+    return abs(delta_numerator(t) - x * (t.r - 1)) > margin
+
+
+def _window_centre(n: int, k: int, margin: int, parity: int) -> Optional[int]:
+    """The window centre X of the given parity with |n - Xk| <= margin, or
+    None.  With 0 <= margin < k the window holds at most two consecutive
+    integers, so at most one of each parity."""
+    x = -((margin - n) // k)  # ceil((n - margin) / k)
+    if (x - parity) % 2:
+        x += 1
+    return x if x * k - n <= margin else None
 
 
 # ---------------------------------------------------------------------------
-# the rules
+# the rules: one check and one subgoal formula each
 
 
-def _apply_master(t: Tuple, p: RuleParams) -> list[Tuple]:
+def _check_master_family(t: Tuple, p: RuleParams, offset: int, strict: bool) -> Optional[str]:
+    """Master (offset 0) and Master-111 (offset 1, strict forms m' < m and
+    2m' + ell' < r - 2)."""
     d, g, r, ell, m = t
     lp, mp, dp, sn = p.ell_prime, p.m_prime, p.d_prime, p.sum_n
-    _need(None not in (lp, mp, dp, sn), "missing parameter")
-    _need(r >= 3, "r < 3")
-    _need(0 <= lp <= ell, "ell' out of range")
-    _need(0 <= mp <= m, "m' out of range")
-    _need(r != 3 or mp == 0, "m' must be 0 when r = 3")
-    _need(2 * mp + lp <= r - 2, "2m' + ell' exceeds r - 2")
-    _need(g + r <= dp <= d, "d' out of range")
-    if g == 0 and m != 0:
-        _need(dp > g + r, "d' must exceed g + r when g = 0 and m > 0")
-    _check_sum_n(mp, sn, r, exclude_2=(dp, g) == (r + 1, 1), any2=p.any_ni_is_2)
-    lbar = _bar_ell(ell, lp, mp, sn, r)
-    _need(lbar >= 0, "ell-bar negative")
-    x = lp + 2 * (d - dp) + sn
-    _need(abs(delta_numerator(t) - x * (r - 1)) <= r - 2, "delta window missed")
-    return [Tuple(dp - 1, g, r - 1, lbar, m - mp)]
+    if None in (lp, mp, dp, sn):
+        return "missing parameter"
+    if r < 3:
+        return "r < 3"
+    if not 0 <= lp <= ell:
+        return "ell' out of range"
+    if strict:
+        if not 0 <= mp < m:
+            return "m' must be strictly below m"
+    elif not 0 <= mp <= m:
+        return "m' out of range"
+    if r == 3 and mp != 0:
+        return "m' must be 0 when r = 3"
+    if strict:
+        if 2 * mp + lp >= r - 2:
+            return "2m' + ell' must be strictly below r - 2"
+    elif 2 * mp + lp > r - 2:
+        return "2m' + ell' exceeds r - 2"
+    if not g + r <= dp <= d:
+        return "d' out of range"
+    if g == 0 and m != 0 and dp <= g + r:
+        return "d' must exceed g + r when g = 0 and m > 0"
+    why = _sum_n_violation(mp, sn, r, (dp, g) == (r + 1, 1), p.any_ni_is_2)
+    if why is not None:
+        return why
+    if _bar_ell(ell, lp, mp, sn, r) < 0:
+        return "ell-bar negative"
+    if _window_missed(t, offset + lp + 2 * (d - dp) + sn, r - 2):
+        return "delta window missed"
+    return None
 
 
-def _apply_master_111(t: Tuple, p: RuleParams) -> list[Tuple]:
-    d, g, r, ell, m = t
-    lp, mp, dp, sn = p.ell_prime, p.m_prime, p.d_prime, p.sum_n
-    _need(None not in (lp, mp, dp, sn), "missing parameter")
-    _need(r >= 3, "r < 3")
-    _need(0 <= lp <= ell, "ell' out of range")
-    _need(0 <= mp < m, "m' must be strictly below m")
-    _need(r != 3 or mp == 0, "m' must be 0 when r = 3")
-    _need(2 * mp + lp < r - 2, "2m' + ell' must be strictly below r - 2")
-    _need(g + r <= dp <= d, "d' out of range")
-    if g == 0 and m != 0:
-        _need(dp > g + r, "d' must exceed g + r when g = 0 and m > 0")
-    _check_sum_n(mp, sn, r, exclude_2=(dp, g) == (r + 1, 1), any2=p.any_ni_is_2)
-    lbar = _bar_ell(ell, lp, mp, sn, r)
-    _need(lbar >= 0, "ell-bar negative")
-    x = 1 + lp + 2 * (d - dp) + sn
-    _need(abs(delta_numerator(t) - x * (r - 1)) <= r - 2, "delta window missed")
-    mbar = m - mp
+def _master_goals(t: Tuple, dp: int, lbar: int, mbar: int) -> list[Tuple]:
+    return [Tuple(dp - 1, t.g, t.r - 1, lbar, mbar)]
+
+
+def _master_111_goals(t: Tuple, dp: int, lbar: int, mbar: int) -> list[Tuple]:
+    g, r = t.g, t.r
     return [
         Tuple(dp - 1, g, r - 1, lbar, mbar),
         Tuple(dp - 1, g, r - 1, lbar, mbar - 1),
@@ -230,266 +230,288 @@ def _apply_master_111(t: Tuple, p: RuleParams) -> list[Tuple]:
     ]
 
 
-def _apply_master_erasable(t: Tuple, p: RuleParams) -> list[Tuple]:
+def _goals_master_family(t: Tuple, p: RuleParams, formula: Callable) -> list[Tuple]:
+    lbar = _bar_ell(t.ell, p.ell_prime, p.m_prime, p.sum_n, t.r)
+    return formula(t, p.d_prime, lbar, t.m - p.m_prime)
+
+
+def _erasable_collection(t: Tuple, lp: int, mp: int, mpp: int, gp: int, eout: int):
+    return make_collection(
+        s10=lp + t.m - mp - mpp, s11=eout, s20=mp, s21=t.g - gp, w10=mpp
+    )
+
+
+def _check_master_erasable(t: Tuple, p: RuleParams) -> Optional[str]:
     d, g, r, ell, m = t
     lp, mp, mpp = p.ell_prime, p.m_prime, p.m_dprime
     dp, gp, ein, eout, sn = p.d_prime, p.g_prime, p.eps_in, p.eps_out, p.sum_n
-    _need(None not in (lp, mp, mpp, dp, gp, ein, eout, sn), "missing parameter")
-    _need(r >= 3, "r < 3")
-    _need(0 <= lp <= ell, "ell' out of range")
-    _need(mp >= 0 and mpp >= 0 and mp + mpp <= m, "m' + m'' out of range")
-    _need(r != 3 or mp == 0, "m' must be 0 when r = 3")
-    _need(0 <= gp <= g, "g' out of range")
-    _need(gp + r <= dp <= d - g + gp, "d' out of range")
-    if gp == 0 and m != 0:
-        _need(dp > gp + r, "d' must exceed g' + r when g' = 0 and m > 0")
-    _need(ein >= 0 and eout >= 0, "negative secancy split")
-    _need(ein + eout == d - g - dp + gp, "secancy split does not match degree drop")
-    _check_sum_n(mp, sn, r, exclude_2=(dp, gp) == (r + 1, 1), any2=p.any_ni_is_2)
-    lbar = _bar_ell(ell, lp, mp, sn, r)
-    _need(lbar >= 0, "ell-bar negative")
-    coll = make_collection(
-        s10=lp + m - mp - mpp, s11=eout, s20=mp, s21=g - gp, w10=mpp
-    )
-    _need(erasable_fast(coll, r), "collection not erasable")
+    if None in (lp, mp, mpp, dp, gp, ein, eout, sn):
+        return "missing parameter"
+    if r < 3:
+        return "r < 3"
+    if not 0 <= lp <= ell:
+        return "ell' out of range"
+    if not (mp >= 0 and mpp >= 0 and mp + mpp <= m):
+        return "m' + m'' out of range"
+    if r == 3 and mp != 0:
+        return "m' must be 0 when r = 3"
+    if not 0 <= gp <= g:
+        return "g' out of range"
+    if not gp + r <= dp <= d - g + gp:
+        return "d' out of range"
+    if gp == 0 and m != 0 and dp <= gp + r:
+        return "d' must exceed g' + r when g' = 0 and m > 0"
+    if ein < 0 or eout < 0:
+        return "negative secancy split"
+    if ein + eout != d - g - dp + gp:
+        return "secancy split does not match degree drop"
+    why = _sum_n_violation(mp, sn, r, (dp, gp) == (r + 1, 1), p.any_ni_is_2)
+    if why is not None:
+        return why
+    if _bar_ell(ell, lp, mp, sn, r) < 0:
+        return "ell-bar negative"
+    if not erasable_fast(_erasable_collection(t, lp, mp, mpp, gp, eout), r):
+        return "collection not erasable"
     w = 2 * eout + 3 * (g - gp) + m + mp + lp
     x = 2 * ein + (g - gp) + mpp + lp + w // (r - 1) + sn
-    _need(abs(delta_numerator(t) - x * (r - 1)) <= r - 2, "delta window missed")
-    return [
-        Tuple(dp - 1, gp, r - 1, lbar, mb) for mb in range(m - mp - mpp, m - mp + 1)
-    ]
+    if _window_missed(t, x, r - 2):
+        return "delta window missed"
+    return None
 
 
-def _apply_gather_lines(t: Tuple, p: RuleParams) -> list[Tuple]:
+def _master_erasable_goals(t: Tuple, dp: int, gp: int, lbar: int, mp: int, mpp: int) -> list[Tuple]:
+    m = t.m
+    return [Tuple(dp - 1, gp, t.r - 1, lbar, mb) for mb in range(m - mp - mpp, m - mp + 1)]
+
+
+def _goals_master_erasable(t: Tuple, p: RuleParams) -> list[Tuple]:
+    lbar = _bar_ell(t.ell, p.ell_prime, p.m_prime, p.sum_n, t.r)
+    return _master_erasable_goals(t, p.d_prime, p.g_prime, lbar, p.m_prime, p.m_dprime)
+
+
+def _check_gather_lines(t: Tuple, p: RuleParams) -> Optional[str]:
+    if t.r < 3:
+        return "r < 3"
+    if t.d < t.g + 2 * t.r - 1:
+        return "degree below g + 2r - 1"
+    return None
+
+
+def _goals_gather_lines(t: Tuple, p: RuleParams) -> list[Tuple]:
     d, g, r, ell, m = t
-    _need(r >= 3, "r < 3")
-    _need(d >= g + 2 * r - 1, "degree below g + 2r - 1")
     return [Tuple(d - (r - 1), g, r, ell, m)]
 
 
-def _apply_peel_onion(t: Tuple, p: RuleParams) -> list[Tuple]:
+def _check_peel_onion(t: Tuple, p: RuleParams) -> Optional[str]:
+    if t.r < 3:
+        return "r < 3"
+    if t.g < t.r:
+        return "genus below r"
+    if not is_good(t).is_good:
+        return "source tuple not good"
+    return None
+
+
+def _goals_peel_onion(t: Tuple, p: RuleParams) -> list[Tuple]:
     d, g, r, ell, m = t
-    _need(r >= 3, "r < 3")
-    _need(g >= r, "genus below r")
-    _need(is_good(t).is_good, "source tuple not good")
     return [Tuple(d - (r - 1), g - r, r, ell, m + 1)]
 
 
-def _apply_pancake_onions(t: Tuple, p: RuleParams) -> list[Tuple]:
+def _check_pancake_onions(t: Tuple, p: RuleParams) -> Optional[str]:
+    if t.r < 3:
+        return "r < 3"
+    if t.m < t.r - 1:
+        return "m below r - 1"
+    return None
+
+
+def _goals_pancake_onions(t: Tuple, p: RuleParams) -> list[Tuple]:
     d, g, r, ell, m = t
-    _need(r >= 3, "r < 3")
-    _need(m >= r - 1, "m below r - 1")
     return [Tuple(d, g, r, ell, m - (r - 1))]
 
 
-def _apply_two_proj(t: Tuple, p: RuleParams) -> list[Tuple]:
+def _check_two_proj(t: Tuple, p: RuleParams) -> Optional[str]:
     d, g, r, ell, m = t
     eps = p.eps
-    _need(eps is not None, "missing parameter")
-    _need(r >= 3, "r < 3")
-    _need(ell == 0, "ell must be 0")
-    _need(m == 1, "m must be 1")
-    _need(eps >= 0, "eps negative")
-    _need(2 * eps <= d - g - r, "eps exceeds (d - g - r)/2")
-    if g == 0:
-        _need(2 * eps < d - g - r, "eps must be strictly below (d - g - r)/2 when g = 0")
-    x = 2 * eps + 1
-    _need(abs(delta_numerator(t) - x * (r - 1)) <= r - 3, "delta window missed")
-    return [Tuple(d - 2 * eps - 2, g, r - 2, 0, 1)]
+    if eps is None:
+        return "missing parameter"
+    if r < 3:
+        return "r < 3"
+    if ell != 0:
+        return "ell must be 0"
+    if m != 1:
+        return "m must be 1"
+    if eps < 0:
+        return "eps negative"
+    if 2 * eps > d - g - r:
+        return "eps exceeds (d - g - r)/2"
+    if g == 0 and 2 * eps >= d - g - r:
+        return "eps must be strictly below (d - g - r)/2 when g = 0"
+    if _window_missed(t, 2 * eps + 1, r - 3):
+        return "delta window missed"
+    return None
 
 
-def _apply_delta_5(t: Tuple, p: RuleParams) -> list[Tuple]:
+def _two_proj_goals(t: Tuple, eps: int) -> list[Tuple]:
+    return [Tuple(t.d - 2 * eps - 2, t.g, t.r - 2, 0, 1)]
+
+
+def _check_delta_5(t: Tuple, p: RuleParams) -> Optional[str]:
     k = p.k
-    _need(k is not None, "missing parameter")
-    _need(k >= 3, "k below 3")
-    _need(
-        t == Tuple(4 * k + 1, 2 * k - 1, 2 * k + 1, 0, 1),
-        "tuple is not (4k+1, 2k-1, 2k+1, 0, 1)",
-    )
+    if k is None:
+        return "missing parameter"
+    if k < 3:
+        return "k below 3"
+    if t != (4 * k + 1, 2 * k - 1, 2 * k + 1, 0, 1):
+        return "tuple is not (4k+1, 2k-1, 2k+1, 0, 1)"
+    return None
+
+
+def _delta_5_goals(k: int) -> list[Tuple]:
     return [Tuple(4 * k - 3, 2 * k - 2, 2 * k - 1, k - 3, 0)]
 
 
-def _apply_m0_delta_2(t: Tuple, p: RuleParams) -> list[Tuple]:
+def _check_m0_delta_2(t: Tuple, p: RuleParams) -> Optional[str]:
+    if t.r < 3:
+        return "r < 3"
+    if t.m != 0:
+        return "m must be 0"
+    if t.g < 1:
+        return "genus must be positive"
+    if _window_missed(t, 2, t.r - 2):
+        return "delta window missed"
+    return None
+
+
+def _goals_m0_delta_2(t: Tuple, p: RuleParams) -> list[Tuple]:
     d, g, r, ell, m = t
-    _need(r >= 3, "r < 3")
-    _need(m == 0, "m must be 0")
-    _need(g >= 1, "genus must be positive")
-    _need(abs(delta_numerator(t) - 2 * (r - 1)) <= r - 2, "delta window missed")
     return [Tuple(d - 2, g - 1, r - 1, ell + 1, 0)]
 
 
-def _apply_m0_delta_35(t: Tuple, p: RuleParams) -> list[Tuple]:
+def _check_m0_delta_35(t: Tuple, p: RuleParams) -> Optional[str]:
     d, g, r, ell, m = t
     eps = p.eps
-    _need(eps is not None, "missing parameter")
-    _need(m == 0, "m must be 0")
-    _need(g >= 3, "genus below 3")
-    _need(r >= 6, "r below 6")
-    _need(eps >= 0, "eps negative")
-    _need(3 * eps <= d - g - r, "eps exceeds (d - g - r)/3")
-    x = 2 * eps + 3
-    _need(abs(delta_numerator(t) - x * (r - 1)) <= r - 4, "delta window missed")
-    return [
-        Tuple(d - 3 * eps - 6, g - 3, r - 3, ell + 1, 0),
-        Tuple(d - 3 * eps - 6, g - 3, r - 3, ell, 0),
-    ]
+    if eps is None:
+        return "missing parameter"
+    if m != 0:
+        return "m must be 0"
+    if g < 3:
+        return "genus below 3"
+    if r < 6:
+        return "r below 6"
+    if eps < 0:
+        return "eps negative"
+    if 3 * eps > d - g - r:
+        return "eps exceeds (d - g - r)/3"
+    if _window_missed(t, 2 * eps + 3, r - 4):
+        return "delta window missed"
+    return None
 
 
-def _apply_m0_delta_4(t: Tuple, p: RuleParams) -> list[Tuple]:
+def _m0_delta_35_goals(t: Tuple, eps: int) -> list[Tuple]:
     d, g, r, ell, m = t
-    _need(m == 0, "m must be 0")
-    _need(g >= 3, "genus below 3")
-    _need(r >= 6, "r below 6")
-    _need(abs(delta_numerator(t) - 4 * (r - 1)) <= r - 3, "delta window missed")
-    return [
-        Tuple(d - 5, g - 3, r - 2, ell + 1, 0),
-        Tuple(d - 5, g - 3, r - 2, ell, 0),
-    ]
+    dd = d - 3 * eps - 6
+    return [Tuple(dd, g - 3, r - 3, ell + 1, 0), Tuple(dd, g - 3, r - 3, ell, 0)]
 
 
-def _apply_delta_1_step(t: Tuple, p: RuleParams) -> list[Tuple]:
+def _check_m0_delta_4(t: Tuple, p: RuleParams) -> Optional[str]:
+    if t.m != 0:
+        return "m must be 0"
+    if t.g < 3:
+        return "genus below 3"
+    if t.r < 6:
+        return "r below 6"
+    if _window_missed(t, 4, t.r - 3):
+        return "delta window missed"
+    return None
+
+
+def _goals_m0_delta_4(t: Tuple, p: RuleParams) -> list[Tuple]:
     d, g, r, ell, m = t
-    _need(r >= 3, "r < 3")
-    _need(ell == 0 and m == 0, "ell and m must be 0")
-    _need(2 * d + 2 * g == 3 * r - 1, "not on the 2d + 2g = 3r - 1 locus")
-    _need(d > g + r, "degree must exceed g + r")
-    return [Tuple(d - 3, g, r - 2, 0, 0)]
+    return [Tuple(d - 5, g - 3, r - 2, ell + 1, 0), Tuple(d - 5, g - 3, r - 2, ell, 0)]
 
 
-_APPLY: dict[RuleId, Callable[[Tuple, RuleParams], list[Tuple]]] = {
-    RuleId.MASTER: _apply_master,
-    RuleId.MASTER_111: _apply_master_111,
-    RuleId.MASTER_ERASABLE: _apply_master_erasable,
-    RuleId.GATHER_LINES: _apply_gather_lines,
-    RuleId.PEEL_ONION: _apply_peel_onion,
-    RuleId.PANCAKE_ONIONS: _apply_pancake_onions,
-    RuleId.TWO_PROJ: _apply_two_proj,
-    RuleId.DELTA_5: _apply_delta_5,
-    RuleId.M0_DELTA_2: _apply_m0_delta_2,
-    RuleId.M0_DELTA_35: _apply_m0_delta_35,
-    RuleId.M0_DELTA_4: _apply_m0_delta_4,
-    RuleId.DELTA_1_STEP: _apply_delta_1_step,
-}
+def _check_delta_1_step(t: Tuple, p: RuleParams) -> Optional[str]:
+    d, g, r, ell, m = t
+    if r < 3:
+        return "r < 3"
+    if ell != 0 or m != 0:
+        return "ell and m must be 0"
+    if 2 * d + 2 * g != 3 * r - 1:
+        return "not on the 2d + 2g = 3r - 1 locus"
+    if d <= g + r:
+        return "degree must exceed g + r"
+    return None
 
 
-def apply(rule: RuleId, t: Tuple, p: RuleParams = RuleParams()) -> list[Tuple]:
-    """Validate every hypothesis of `rule` at `t` with parameters `p` and
-    return the subgoal list; raises PreconditionViolated otherwise."""
-    return _APPLY[rule](t, p)
+def _goals_delta_1_step(t: Tuple, p: RuleParams) -> list[Tuple]:
+    return [Tuple(t.d - 3, t.g, t.r - 2, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
-# instance enumeration
+# candidate enumerators: each yields (parameter values, subgoals) for the
+# parameter choices that meet the rule's guard, in canonical order
 
 
-def _enum_simple(rule: RuleId, t: Tuple) -> Iterator[tuple[RuleParams, list[Tuple]]]:
-    try:
-        goals = _APPLY[rule](t, RuleParams())
-    except PreconditionViolated:
-        return
-    yield RuleParams(), goals
+def _master_family_candidates(
+    t: Tuple, offset: int, strict: bool, goals: Callable
+) -> Iterator[tuple[tuple, list[Tuple]]]:
+    """(ell', m', d', sum_n, any2) in lexicographic order.
 
-
-def _enum_two_proj(t: Tuple) -> Iterator[tuple[RuleParams, list[Tuple]]]:
-    d, g, r, ell, m = t
-    if r < 3 or ell != 0 or m != 1:
-        return
-    top = d - g - r
-    for eps in range(0, top // 2 + 1):
-        p = RuleParams(eps=eps)
-        try:
-            goals = _apply_two_proj(t, p)
-        except PreconditionViolated:
-            continue
-        yield p, goals
-
-
-def _enum_delta_5(t: Tuple) -> Iterator[tuple[RuleParams, list[Tuple]]]:
-    if t.r % 2 == 0 or t.r < 7:
-        return
-    k = (t.r - 1) // 2
-    p = RuleParams(k=k)
-    try:
-        goals = _apply_delta_5(t, p)
-    except PreconditionViolated:
-        return
-    yield p, goals
-
-
-def _enum_m0_delta_35(t: Tuple) -> Iterator[tuple[RuleParams, list[Tuple]]]:
-    d, g, r, ell, m = t
-    if m != 0 or g < 3 or r < 6:
-        return
-    for eps in range(0, (d - g - r) // 3 + 1):
-        p = RuleParams(eps=eps)
-        try:
-            goals = _apply_m0_delta_35(t, p)
-        except PreconditionViolated:
-            continue
-        yield p, goals
-
-
-def _master_family_loop(
-    t: Tuple, offset: int, strict: bool
-) -> Iterator[tuple[int, int, int, int, bool]]:
-    """Shared (ell', m', d', sum_n, any2) candidates for the master rules.
-
-    `offset` is the constant added to the window center X; `strict` asks for
-    the strict forms m' < m and 2m' + ell' < r - 2.  Candidates come out in
-    lexicographic (ell', m', d', sum_n) order; callers re-validate."""
+    X = offset + ell' + 2(d - d') + sum_n, and sum_n has the parity of
+    m'(r-1), so (ell', m') fix the parity of X and with it the one window
+    centre X*.  Then sum_n = X* - offset - ell' - 2d + 2d' is linear in d',
+    and the sum range [m' n_lo, m'(r-1)] is a closed d' interval.  ell-bar
+    >= 0 needs no test: sum_n <= m'(r-1) and ell' <= ell."""
     d, g, r, ell, m = t
     if r < 3:
         return
-    n = delta_numerator(t)
     k = r - 1
-    cap = r - 2 - (1 if strict else 0)
+    n = delta_numerator(t)
+    centres = (_window_centre(n, k, k - 1, 0), _window_centre(n, k, k - 1, 1))
+    cap = r - 3 if strict else r - 2  # bound on 2m' + ell'
     m_top = m - 1 if strict else m
     dp_lo = g + r + (1 if (g == 0 and m != 0) else 0)
-    x_lo = -((-(n - (r - 2))) // k)  # ceil((N - (r-2)) / (r-1))
-    x_hi = (n + (r - 2)) // k
+    odd = r % 2 == 1
+    n_lo = 2 if odd else 3  # least height: even heights from 2, odd from 3
+    elliptic = g == 1  # height 2 is forbidden at d' = r + 1
     for lp in range(0, min(ell, cap) + 1):
-        mp_top = min(m_top, (cap - lp) // 2)
-        if r == 3:
-            mp_top = min(mp_top, 0)
-        for mp in range(0, mp_top + 1):
-            for dp in range(dp_lo, d + 1):
-                base = offset + lp + 2 * (d - dp)
-                yield from (
-                    (lp, mp, dp, sn, any2)
-                    for sn, any2 in _sum_choices(
-                        mp, r, x_lo - base, x_hi - base, (dp, g) == (r + 1, 1)
-                    )
-                )
+        # at r = 3, cap <= 1 already forces m' = 0
+        for mp in range(0, min(m_top, (cap - lp) // 2) + 1):
+            x = centres[(offset + lp + mp * k) % 2]
+            if x is None:
+                continue
+            c = x - offset - lp - 2 * d  # sum_n = c + 2d'; c has sum_n's parity
+            lo = max(dp_lo, (mp * n_lo - c) // 2)
+            hi = min(d, (mp * k - c) // 2)
+            for dp in range(lo, hi + 1):
+                sn = c + 2 * dp
+                # the canonical flag: below 4m' every even-height multiset has a 2
+                any2 = odd and sn < 4 * mp
+                if any2 and elliptic and dp == r + 1:
+                    continue
+                lbar = ell - lp + (mp * k - sn) // 2
+                yield (lp, mp, dp, sn, any2), goals(t, dp, lbar, m - mp)
 
 
-def _enum_master(t: Tuple) -> Iterator[tuple[RuleParams, list[Tuple]]]:
-    for lp, mp, dp, sn, any2 in _master_family_loop(t, 0, strict=False):
-        p = RuleParams(ell_prime=lp, m_prime=mp, d_prime=dp, sum_n=sn, any_ni_is_2=any2)
-        try:
-            goals = _apply_master(t, p)
-        except PreconditionViolated:
-            continue
-        yield p, goals
+def _master_params(lp, mp, dp, sn, any2) -> RuleParams:
+    return RuleParams(ell_prime=lp, m_prime=mp, d_prime=dp, sum_n=sn, any_ni_is_2=any2)
 
 
-def _enum_master_111(t: Tuple) -> Iterator[tuple[RuleParams, list[Tuple]]]:
-    for lp, mp, dp, sn, any2 in _master_family_loop(t, 1, strict=True):
-        p = RuleParams(ell_prime=lp, m_prime=mp, d_prime=dp, sum_n=sn, any_ni_is_2=any2)
-        try:
-            goals = _apply_master_111(t, p)
-        except PreconditionViolated:
-            continue
-        yield p, goals
-
-
-def _enum_master_erasable(t: Tuple) -> Iterator[tuple[RuleParams, list[Tuple]]]:
+def _master_erasable_candidates(t: Tuple) -> Iterator[tuple[tuple, list[Tuple]]]:
+    """(ell', m', m'', g', eps_out, d', sum_n) in lexicographic order, with
+    eps_in fixed by the degree drop.  X = 2 eps_in + b + sum_n where b does
+    not depend on d', and eps_in = E - d'; as for the master family the
+    parity of X is fixed and sum_n is linear in d'.  Erasability is decided
+    only for cells whose d' interval is not empty."""
     d, g, r, ell, m = t
     if r < 3:
         return
-    n = delta_numerator(t)
     k = r - 1
-    x_lo = -((-(n - (r - 2))) // k)
-    x_hi = (n + (r - 2)) // k
+    n = delta_numerator(t)
+    centres = (_window_centre(n, k, k - 1, 0), _window_centre(n, k, k - 1, 1))
+    odd = r % 2 == 1
+    n_lo = 2 if odd else 3
     mp_top = 0 if r == 3 else m
     for lp in range(0, ell + 1):
         for mp in range(0, mp_top + 1):
@@ -497,66 +519,170 @@ def _enum_master_erasable(t: Tuple) -> Iterator[tuple[RuleParams, list[Tuple]]]:
                 for gp in range(0, g + 1):
                     dp_lo = gp + r + (1 if (gp == 0 and m != 0) else 0)
                     dp_cap = d - g + gp
-                    if dp_lo > dp_cap:
-                        continue
                     for eout in range(0, dp_cap - dp_lo + 1):
-                        coll = make_collection(
-                            s10=lp + m - mp - mpp,
-                            s11=eout,
-                            s20=mp,
-                            s21=g - gp,
-                            w10=mpp,
-                        )
-                        if not erasable_fast(coll, r):
-                            continue
                         w = 2 * eout + 3 * (g - gp) + m + mp + lp
-                        f = w // k
-                        for dp in range(dp_lo, dp_cap - eout + 1):
-                            ein = d - g - dp + gp - eout
-                            base = 2 * ein + (g - gp) + mpp + lp + f
-                            for sn, any2 in _sum_choices(
-                                mp, r, x_lo - base, x_hi - base, (dp, gp) == (r + 1, 1)
-                            ):
-                                p = RuleParams(
-                                    ell_prime=lp,
-                                    m_prime=mp,
-                                    m_dprime=mpp,
-                                    d_prime=dp,
-                                    g_prime=gp,
-                                    eps_in=ein,
-                                    eps_out=eout,
-                                    sum_n=sn,
-                                    any_ni_is_2=any2,
-                                )
-                                try:
-                                    goals = _apply_master_erasable(t, p)
-                                except PreconditionViolated:
-                                    continue
-                                yield p, goals
+                        b = (g - gp) + mpp + lp + w // k
+                        x = centres[(b + mp * k) % 2]
+                        if x is None:
+                            continue
+                        e_top = dp_cap - eout  # eps_in = e_top - d'
+                        c = x - b - 2 * e_top  # sum_n = c + 2d'
+                        lo = max(dp_lo, (mp * n_lo - c) // 2)
+                        hi = min(e_top, (mp * k - c) // 2)
+                        if lo > hi:
+                            continue
+                        if not erasable_fast(_erasable_collection(t, lp, mp, mpp, gp, eout), r):
+                            continue
+                        for dp in range(lo, hi + 1):
+                            sn = c + 2 * dp
+                            any2 = odd and sn < 4 * mp
+                            if any2 and gp == 1 and dp == r + 1:
+                                continue
+                            lbar = ell - lp + (mp * k - sn) // 2
+                            yield (
+                                (lp, mp, mpp, dp, gp, e_top - dp, eout, sn, any2),
+                                _master_erasable_goals(t, dp, gp, lbar, mp, mpp),
+                            )
+
+
+def _master_erasable_params(lp, mp, mpp, dp, gp, ein, eout, sn, any2) -> RuleParams:
+    return RuleParams(
+        ell_prime=lp,
+        m_prime=mp,
+        m_dprime=mpp,
+        d_prime=dp,
+        g_prime=gp,
+        eps_in=ein,
+        eps_out=eout,
+        sum_n=sn,
+        any_ni_is_2=any2,
+    )
+
+
+def _two_proj_candidates(t: Tuple) -> Iterator[tuple[tuple, list[Tuple]]]:
+    """The one eps whose odd centre 2 eps + 1 lies in the window."""
+    d, g, r, ell, m = t
+    if r < 3 or ell != 0 or m != 1:
+        return
+    x = _window_centre(delta_numerator(t), r - 1, r - 3, 1)
+    if x is None:
+        return
+    eps = (x - 1) // 2
+    room = d - g - r
+    if eps >= 0 and (2 * eps < room if g == 0 else 2 * eps <= room):
+        yield (eps,), _two_proj_goals(t, eps)
+
+
+def _m0_delta_35_candidates(t: Tuple) -> Iterator[tuple[tuple, list[Tuple]]]:
+    """The one eps whose odd centre 2 eps + 3 lies in the window."""
+    d, g, r, ell, m = t
+    if m != 0 or g < 3 or r < 6:
+        return
+    x = _window_centre(delta_numerator(t), r - 1, r - 4, 1)
+    if x is None:
+        return
+    eps = (x - 3) // 2
+    if 0 <= eps and 3 * eps <= d - g - r:
+        yield (eps,), _m0_delta_35_goals(t, eps)
+
+
+def _delta_5_candidates(t: Tuple) -> Iterator[tuple[tuple, list[Tuple]]]:
+    """k = (r-1)/2, when t has the shape (4k+1, 2k-1, 2k+1, 0, 1), k >= 3."""
+    d, g, r, ell, m = t
+    if r % 2 == 0 or r < 7 or ell != 0 or m != 1 or d != 2 * r - 1 or g != r - 2:
+        return
+    k = (r - 1) // 2
+    yield (k,), _delta_5_goals(k)
+
+
+class _Rule(NamedTuple):
+    check: Callable[[Tuple, RuleParams], Optional[str]]
+    goals: Callable[[Tuple, RuleParams], list[Tuple]]
+    # (t) -> (parameter values, subgoals); None for rules without parameters
+    candidates: Optional[Callable] = None
+    params: Optional[Callable[..., RuleParams]] = None
+
+
+_RULES: dict[RuleId, _Rule] = {
+    RuleId.MASTER: _Rule(
+        partial(_check_master_family, offset=0, strict=False),
+        partial(_goals_master_family, formula=_master_goals),
+        partial(_master_family_candidates, offset=0, strict=False, goals=_master_goals),
+        _master_params,
+    ),
+    RuleId.MASTER_111: _Rule(
+        partial(_check_master_family, offset=1, strict=True),
+        partial(_goals_master_family, formula=_master_111_goals),
+        partial(_master_family_candidates, offset=1, strict=True, goals=_master_111_goals),
+        _master_params,
+    ),
+    RuleId.MASTER_ERASABLE: _Rule(
+        _check_master_erasable,
+        _goals_master_erasable,
+        _master_erasable_candidates,
+        _master_erasable_params,
+    ),
+    RuleId.GATHER_LINES: _Rule(_check_gather_lines, _goals_gather_lines),
+    RuleId.PEEL_ONION: _Rule(_check_peel_onion, _goals_peel_onion),
+    RuleId.PANCAKE_ONIONS: _Rule(_check_pancake_onions, _goals_pancake_onions),
+    RuleId.TWO_PROJ: _Rule(
+        _check_two_proj,
+        lambda t, p: _two_proj_goals(t, p.eps),
+        _two_proj_candidates,
+        lambda eps: RuleParams(eps=eps),
+    ),
+    RuleId.DELTA_5: _Rule(
+        _check_delta_5,
+        lambda t, p: _delta_5_goals(p.k),
+        _delta_5_candidates,
+        lambda k: RuleParams(k=k),
+    ),
+    RuleId.M0_DELTA_2: _Rule(_check_m0_delta_2, _goals_m0_delta_2),
+    RuleId.M0_DELTA_35: _Rule(
+        _check_m0_delta_35,
+        lambda t, p: _m0_delta_35_goals(t, p.eps),
+        _m0_delta_35_candidates,
+        lambda eps: RuleParams(eps=eps),
+    ),
+    RuleId.M0_DELTA_4: _Rule(_check_m0_delta_4, _goals_m0_delta_4),
+    RuleId.DELTA_1_STEP: _Rule(_check_delta_1_step, _goals_delta_1_step),
+}
+
+
+def apply(rule: RuleId, t: Tuple, p: RuleParams = _NO_PARAMS) -> list[Tuple]:
+    """Validate every hypothesis of `rule` at `t` with parameters `p` and
+    return the subgoal list; raises PreconditionViolated otherwise."""
+    spec = _RULES[rule]
+    why = spec.check(t, p)
+    if why is not None:
+        raise PreconditionViolated(why)
+    return spec.goals(t, p)
+
+
+# ---------------------------------------------------------------------------
+# instance enumeration
 
 
 def enumerate_instances(
     rule: RuleId, t: Tuple, accept: Callable[[Tuple], bool] = lambda s: True
 ) -> Iterator[tuple[RuleParams, list[Tuple]]]:
-    """All parameter choices for `rule` at `t` passing the rule's
-    preconditions and whose every subgoal satisfies `accept`, in canonical
-    (lexicographically sorted parameter) order."""
-    if rule is RuleId.MASTER:
-        gen = _enum_master(t)
-    elif rule is RuleId.MASTER_111:
-        gen = _enum_master_111(t)
-    elif rule is RuleId.MASTER_ERASABLE:
-        gen = _enum_master_erasable(t)
-    elif rule is RuleId.TWO_PROJ:
-        gen = _enum_two_proj(t)
-    elif rule is RuleId.DELTA_5:
-        gen = _enum_delta_5(t)
-    elif rule is RuleId.M0_DELTA_35:
-        gen = _enum_m0_delta_35(t)
-    else:
-        gen = _enum_simple(rule, t)
-    for p, goals in gen:
+    """All parameter choices for `rule` at `t` passing the rule's check and
+    whose every subgoal satisfies `accept`, in canonical (lexicographically
+    sorted parameter) order.  `accept` runs before the check (see the
+    module docstring)."""
+    spec = _RULES[rule]
+    if spec.candidates is None:  # no parameters: the check is the guard
+        if spec.check(t, _NO_PARAMS) is None:
+            goals = spec.goals(t, _NO_PARAMS)
+            if all(accept(s) for s in goals):
+                yield _NO_PARAMS, goals
+        return
+    for values, goals in spec.candidates(t):
         if all(accept(s) for s in goals):
+            p = spec.params(*values)
+            why = spec.check(t, p)
+            if why is not None:
+                raise InvariantViolated(f"{rule.value} enumerated {p} at {t}: {why}")
             yield p, goals
 
 

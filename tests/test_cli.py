@@ -103,6 +103,13 @@ def test_sporadic_unknown_rule_name(runner):
     assert res.exit_code == 1
 
 
+def test_workers_below_one_is_an_input_error(runner):
+    for cmd in ("sporadic", "thm14"):
+        res = run(runner, cmd, "--rmax", 14 if cmd == "thm14" else 3, "--workers", 0)
+        assert res.exit_code == 1, res.output
+        assert "workers" in res.output
+
+
 def test_sporadic_expected_file(runner, tmp_path):
     out = tmp_path / "constants.json"
     res = run(runner, "dump-constants", "--out", out)

@@ -22,6 +22,8 @@ from bninterp import (
     make_collection,
     normalize,
 )
+import bninterp.erase as erase
+from bninterp import InvariantViolated
 from bninterp.erase import (
     SOURCE_CATALOGUE,
     collection_from_json,
@@ -198,3 +200,20 @@ def test_is_erasable_deterministic_and_consistent_with_fast_path():
         b = is_erasable(coll, r)
         assert a == b
         assert a[0] == erasable_fast(coll, r)
+
+
+def test_combine_checks_rank_agreement_explicitly(monkeypatch):
+    # overlapping case guards that disagree on rank are a defect; the check
+    # is an exception, not an assert, so it holds under `python -O`
+    monkeypatch.setattr(
+        erase, "_case_outcomes", lambda *a: [(1, 0, STRONG, 0), (0, 0, STRONG, 1)]
+    )
+    with pytest.raises(InvariantViolated, match="disagree on rank"):
+        combine(AccState(1, 0, STRONG, 0), ModType(1, 0, STRONG), 5)
+
+
+def test_combine_checks_rank_conservation_explicitly(monkeypatch):
+    # weight 1 + weight 1 must not combine to weight 0
+    monkeypatch.setattr(erase, "_case_outcomes", lambda *a: [(0, 0, STRONG, 0)])
+    with pytest.raises(InvariantViolated, match="rank conservation"):
+        combine(AccState(1, 0, STRONG, 0), ModType(1, 0, STRONG), 5)

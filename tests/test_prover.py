@@ -27,7 +27,9 @@ from bninterp import (
     verify_certificate,
     verify_thm14,
 )
-from bninterp.prover import PROVISO_DELTA1, SECTION8_RULES
+import bninterp.prover as prover
+from bninterp import InvariantViolated, RuleParams
+from bninterp.prover import PROVISO_DELTA1, SECTION8_RULES, check_workers
 
 
 def test_axiom_tags():
@@ -217,6 +219,42 @@ def test_sporadic_sweep_parallel_agrees_with_serial():
     b = run_sporadic_search(r_max=4, workers=2)
     assert a.irreducible == b.irreducible
     assert a.examined == b.examined
+
+
+def test_sporadic_parallel_report_equals_serial():
+    # witnesses keep their goals in both modes, so the reports are equal
+    a = run_sporadic_search(r_max=6)
+    b = run_sporadic_search(r_max=6, workers=2)
+    assert a == b
+    assert all(w is None or w[2] for w in b.witnesses.values())
+
+
+def test_check_workers_rejects_below_one_and_clamps_to_cpu_count(monkeypatch):
+    # only the validator runs here; no worker process is started
+    for bad in (0, -3, True, 2.0, "2"):
+        with pytest.raises(ValueError):
+            check_workers(bad)
+    monkeypatch.setattr(prover.os, "cpu_count", lambda: 3)
+    assert check_workers(1) == 1
+    assert check_workers(3) == 3
+    assert check_workers(10_000) == 3
+    monkeypatch.setattr(prover.os, "cpu_count", lambda: None)
+    assert check_workers(10_000) == 1
+    with pytest.raises(ValueError):
+        run_sporadic_search(r_max=3, workers=0)
+    with pytest.raises(ValueError):
+        verify_thm14(r_max=14, workers=0)
+
+
+def test_certify_depth_cap_is_an_explicit_check(monkeypatch):
+    # a rule table that loops a tuple back onto itself runs into the depth
+    # cap, which must hold under `python -O` as well
+    def self_loop(rule, t, accept):
+        yield RuleParams(), [t]
+
+    monkeypatch.setattr(prover, "enumerate_instances", self_loop)
+    with pytest.raises(InvariantViolated, match="depth"):
+        certify(Tuple(13, 2, 6, 1, 0))
 
 
 def test_disabling_rules_only_shrinks_reducibility():

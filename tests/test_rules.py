@@ -374,3 +374,116 @@ def test_delta_windows_expressed_exactly():
             assert abs(delta(t) - x) <= 1 - Fraction(1, r - 1)
         for p, _ in enumerate_instances(RuleId.TWO_PROJ, t):
             assert abs(delta(t) - (2 * p.eps + 1)) <= 1 - Fraction(2, r - 1)
+
+
+# ---------------------------------------------------------------------------
+# enumeration oracle: the solved windows against a brute force through apply
+
+
+def _good_box_and_shell(r_max):
+    """Good tuples of the sweep box and of the shell around it (the region
+    `verify_thm14` checks) for 3 <= r <= r_max."""
+    for r in range(3, r_max + 1):
+        for g in range(0, r + 2):
+            for d in range(g + r, g + 2 * r + 3):
+                rr = rho(d, g, r)
+                if rr < 0:
+                    continue
+                for ell in range(0, r // 2 + 1):
+                    for m in range(0, min(rr, r + 1) + 1):
+                        t = Tuple(d, g, r, ell, m)
+                        if _good(t):
+                            yield t
+
+
+def _applied(rule, t, p):
+    try:
+        return apply(rule, t, p)
+    except PreconditionViolated:
+        return None
+
+
+def _canonical_twist_flag(rule, t, **values):
+    """(params, goals) for the first of any_ni_is_2 = False, True that
+    apply accepts, or None."""
+    for any2 in (False, True):
+        p = RuleParams(any_ni_is_2=any2, **values)
+        goals = _applied(rule, t, p)
+        if goals is not None:
+            return p, goals
+    return None
+
+
+def _brute_force_params(rule, t):
+    """Every parameter choice in the rule's box, in canonical order.  Each
+    loop bound is one hypothesis of the rule read off directly; the delta
+    windows, parities and height ranges are left to apply.  The one
+    exception keeps the master-erasable box affordable: its delta window
+    is evaluated directly at every point (never solved for a parameter)
+    and only the points inside it go on to apply, which would reject the
+    others by that same hypothesis."""
+    d, g, r, ell, m = t
+    n = delta_numerator(t)
+    if rule in (RuleId.MASTER, RuleId.MASTER_111):
+        for lp in range(ell + 1):
+            for mp in range(m + 1):
+                if 2 * mp + lp > r - 2:
+                    continue
+                for dp in range(g + r, d + 1):
+                    for sn in range(0, (r - 1) * mp + 1):
+                        yield dict(ell_prime=lp, m_prime=mp, d_prime=dp, sum_n=sn)
+    elif rule is RuleId.MASTER_ERASABLE:
+        for lp in range(ell + 1):
+            for mp in range(m + 1):
+                for mpp in range(m - mp + 1):
+                    for gp in range(g + 1):
+                        for eout in range(0, d - g - r + 1):
+                            w = 2 * eout + 3 * (g - gp) + m + mp + lp
+                            for dp in range(gp + r, d - g + gp - eout + 1):
+                                ein = d - g - dp + gp - eout
+                                for sn in range(0, (r - 1) * mp + 1):
+                                    x = 2 * ein + (g - gp) + mpp + lp + w // (r - 1) + sn
+                                    if abs(n - x * (r - 1)) > r - 2:
+                                        continue
+                                    yield dict(
+                                        ell_prime=lp, m_prime=mp, m_dprime=mpp, d_prime=dp,
+                                        g_prime=gp, eps_in=ein, eps_out=eout, sum_n=sn,
+                                    )
+    elif rule in (RuleId.TWO_PROJ, RuleId.M0_DELTA_35):
+        for eps in range(0, d + 1):
+            yield dict(eps=eps)
+    elif rule is RuleId.DELTA_5:
+        for k in range(0, r + 1):
+            yield dict(k=k)
+    else:
+        yield {}
+
+
+def _brute_force_instances(rule, t):
+    out = []
+    for values in _brute_force_params(rule, t):
+        if "sum_n" in values:
+            hit = _canonical_twist_flag(rule, t, **values)
+        else:
+            p = RuleParams(**values)
+            goals = _applied(rule, t, p)
+            hit = None if goals is None else (p, goals)
+        if hit is not None:
+            out.append(hit)
+    return out
+
+
+def test_enumerators_match_a_brute_force_through_apply():
+    # exact ordered equality, so an enumerator that drops an instance or
+    # reorders them fails; master-erasable's box is only affordable to r = 5
+    checked = 0
+    for t in _good_box_and_shell(7):
+        for rule in RULE_ORDER:
+            if rule is RuleId.MASTER_ERASABLE and t.r > 5:
+                continue
+            want = _brute_force_instances(rule, t)
+            assert list(enumerate_instances(rule, t)) == want, (tuple(t), rule)
+            want_good = [(p, goals) for p, goals in want if all(_good(s) for s in goals)]
+            assert list(enumerate_instances(rule, t, _good)) == want_good, (tuple(t), rule)
+            checked += len(want)
+    assert checked > 10_000
