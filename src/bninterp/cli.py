@@ -40,6 +40,7 @@ from .prover import (
     certify as _certify,
     check_workers,
     run_sporadic_search,
+    sweep_order,
     verify_certificate,
     verify_thm14,
 )
@@ -317,8 +318,8 @@ def sporadic(rmax, disabled, workers, csv_path, expected, recursive_accept, fmt)
                     ]
                 )
 
-    missing = sorted(want - got, key=lambda t: (t.r, t.g, t.d, t.ell, t.m))
-    extra = sorted(got - want, key=lambda t: (t.r, t.g, t.d, t.ell, t.m))
+    missing = sorted(want - got, key=sweep_order)
+    extra = sorted(got - want, key=sweep_order)
     if fmt == "json":
         click.echo(
             json.dumps(

@@ -54,11 +54,6 @@ SOURCE_CATALOGUE = (
     ModType(1, 0, WEAK),
 )
 
-# Both role assignments of the case table are tried when combining (the
-# collision of two marked points does not order them); flip for calibration.
-ROLE_SYMMETRIC = True
-
-
 def type_name(mt: ModType) -> str:
     return f"{'s' if mt.strength == STRONG else 'w'}{mt.t1},{mt.t2}"
 
@@ -113,9 +108,9 @@ def combine(state: AccState, incoming: ModType, r: int) -> Optional[AccState]:
     """
     st = normalize(state, r)
     inc = normalize(AccState(incoming.t1, incoming.t2, incoming.strength, 0), r)
+    # both role assignments: the collision of two marked points does not order them
     outcomes = _case_outcomes(st.t1, st.t2, st.strength, inc.t1, inc.t2, inc.strength, r)
-    if ROLE_SYMMETRIC:
-        outcomes += _case_outcomes(inc.t1, inc.t2, inc.strength, st.t1, st.t2, st.strength, r)
+    outcomes += _case_outcomes(inc.t1, inc.t2, inc.strength, st.t1, st.t2, st.strength, r)
     if not outcomes:
         return None
     ranks = {(t1, t2, dt) for t1, t2, _, dt in outcomes}
@@ -185,34 +180,45 @@ def _accepting(state: AccState) -> bool:
     return state.t2 == 0 and state.strength == STRONG
 
 
+def _place(state: Optional[AccState], mt: ModType, r: int) -> Optional[AccState]:
+    """The state after one more point: the first (state None) is only normalized."""
+    if state is None:
+        return normalize(AccState(mt.t1, mt.t2, mt.strength, 0), r)
+    return combine(state, mt, r)
+
+
+def _remove_one(remaining: tuple, i: int) -> tuple:
+    """The sorted (type, count) multiset `remaining` less one copy of its i-th type."""
+    mt, n = remaining[i]
+    return remaining[:i] + (((mt, n - 1),) if n > 1 else ()) + remaining[i + 1 :]
+
+
 # memo shared across calls: pure mathematics, never invalidated
 _MEMO: dict = {}
 
 
-def _erase_search(state: AccState, remaining: tuple, r: int):
+def _erase_search(state: Optional[AccState], remaining: tuple, r: int):
     """Witness order (tuple of ModTypes) completing `remaining` from `state`,
-    or None.  Memoized on the twist-free state and the remaining multiset."""
+    or None; state None means no point is placed yet.  Memoized on the
+    twist-free state and the remaining multiset once a point is placed."""
     if not remaining:
-        return () if _accepting(state) else None
-    key = (r, state.t1, state.t2, state.strength, remaining, ROLE_SYMMETRIC)
-    hit = _MEMO.get(key, -1)
-    if hit != -1:
-        return hit
+        return () if state is None or _accepting(state) else None
+    if state is not None:
+        key = (r, state.t1, state.t2, state.strength, remaining)
+        hit = _MEMO.get(key, -1)
+        if hit != -1:
+            return hit
     found = None
-    for i, (mt, n) in enumerate(remaining):
-        rest = tuple(
-            (m2, n2 - (1 if i2 == i else 0))
-            for i2, (m2, n2) in enumerate(remaining)
-            if n2 - (1 if i2 == i else 0) > 0
-        )
-        nxt = combine(state, mt, r)
+    for i, (mt, _) in enumerate(remaining):
+        nxt = _place(state, mt, r)
         if nxt is None:
             continue
-        tail = _erase_search(nxt, rest, r)
+        tail = _erase_search(nxt, _remove_one(remaining, i), r)
         if tail is not None:
             found = (mt,) + tail
             break
-    _MEMO[key] = found
+    if state is not None:
+        _MEMO[key] = found
     return found
 
 
@@ -221,23 +227,8 @@ def is_erasable(c: ModCollection, r: int) -> tuple[bool, Optional[list[str]]]:
     strongly general subspace.  Returns (verdict, witness order or None);
     the empty collection is vacuously erasable."""
     _check_types(c, r)
-    items = tuple(sorted((mt, n) for mt, n in c.items() if n > 0))
-    if not items:
-        return True, []
-    for i, (mt, n) in enumerate(items):
-        rest = tuple(
-            (m2, n2 - (1 if i2 == i else 0))
-            for i2, (m2, n2) in enumerate(items)
-            if n2 - (1 if i2 == i else 0) > 0
-        )
-        state = normalize(AccState(mt.t1, mt.t2, mt.strength, 0), r)
-        if len(items) == 1 and n == 1:
-            tail: Optional[tuple] = () if _accepting(state) else None
-        else:
-            tail = _erase_search(state, rest, r)
-        if tail is not None:
-            return True, [type_name(t) for t in (mt,) + tail]
-    return False, None
+    order = _erase_search(None, tuple(sorted((mt, n) for mt, n in c.items() if n > 0)), r)
+    return (False, None) if order is None else (True, [type_name(mt) for mt in order])
 
 
 def erasable_fast(c: ModCollection, r: int) -> bool:
@@ -245,66 +236,34 @@ def erasable_fast(c: ModCollection, r: int) -> bool:
     return is_erasable(c, r)[0]
 
 
-def brute_force_erasable(c: ModCollection, r: int) -> bool:
-    """Independent oracle: walk every distinct permutation of the multiset,
-    no memoization.  Only for collections of total size <= 9."""
+def _walk_orders(c: ModCollection, r: int, quantifier) -> bool:
+    """Independent oracle, no memoization: replay every distinct order of
+    the multiset and ask whether `quantifier` (`any` or `all`) of them ends
+    accepting; a dead branch counts as failing.  Only for collections of
+    total size <= 9."""
     _check_types(c, r)
-    total = sum(n for n in c.values() if n > 0)
+    items = tuple(sorted((mt, n) for mt, n in c.items() if n > 0))
+    total = sum(n for _, n in items)
     if total > 9:
         raise TooLarge(f"collection of size {total} exceeds the factorial cap of 9")
-    if total == 0:
-        return True
 
-    def rec(state: Optional[AccState], remaining: Counter) -> bool:
-        if state is not None and not remaining:
-            return _accepting(state)
-        for mt in sorted(remaining):
-            nxt = (
-                normalize(AccState(mt.t1, mt.t2, mt.strength, 0), r)
-                if state is None
-                else combine(state, mt, r)
-            )
-            if nxt is None:
-                continue
-            remaining[mt] -= 1
-            if remaining[mt] == 0:
-                del remaining[mt]
-            ok = rec(nxt, remaining)
-            remaining[mt] += 1
-            if ok:
-                return True
-        return False
+    def rec(state: Optional[AccState], remaining: tuple) -> bool:
+        if not remaining:
+            return state is None or _accepting(state)
+        return quantifier(
+            nxt is not None and rec(nxt, _remove_one(remaining, i))
+            for i, nxt in enumerate(_place(state, mt, r) for mt, _ in remaining)
+        )
 
-    return rec(None, Counter({mt: n for mt, n in c.items() if n > 0}))
+    return rec(None, items)
+
+
+def brute_force_erasable(c: ModCollection, r: int) -> bool:
+    """True when *some* specialization order succeeds (the oracle for
+    is_erasable)."""
+    return _walk_orders(c, r, any)
 
 
 def erasable_under_all_orders(c: ModCollection, r: int) -> bool:
     """True when *every* specialization order succeeds (not just some)."""
-    _check_types(c, r)
-    total = sum(n for n in c.values() if n > 0)
-    if total > 9:
-        raise TooLarge(f"collection of size {total} exceeds the factorial cap of 9")
-    if total == 0:
-        return True
-
-    def rec(state: Optional[AccState], remaining: Counter) -> bool:
-        if state is not None and not remaining:
-            return _accepting(state)
-        for mt in sorted(remaining):
-            nxt = (
-                normalize(AccState(mt.t1, mt.t2, mt.strength, 0), r)
-                if state is None
-                else combine(state, mt, r)
-            )
-            if nxt is None:
-                return False
-            remaining[mt] -= 1
-            if remaining[mt] == 0:
-                del remaining[mt]
-            ok = rec(nxt, remaining)
-            remaining[mt] += 1
-            if not ok:
-                return False
-        return True
-
-    return rec(None, Counter({mt: n for mt, n in c.items() if n > 0}))
+    return _walk_orders(c, r, all)

@@ -159,6 +159,25 @@ class RuleApp:
 Justification = Union[Axiom, RuleApp]
 
 
+def _tuple_from_json(v) -> Tuple:
+    # exact types, so bool is refused along with float and str
+    if type(v) is list and len(v) == 5:
+        d, g, r, ell, m = v
+        if type(d) is type(g) is type(r) is type(ell) is type(m) is int:
+            return Tuple(d, g, r, ell, m)
+    raise ValueError(f"a tuple must be a list of 5 integers, got {v!r}")
+
+
+def _check_params(doc: dict) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"params must be an object, got {doc!r}")
+    for key, v in doc.items():
+        want = bool if key == "any_ni_is_2" else int
+        if type(v) is not want:
+            raise ValueError(f"parameter {key} must be {want.__name__}, got {v!r}")
+    return doc
+
+
 @dataclass
 class Certificate:
     root: Tuple
@@ -188,20 +207,20 @@ class Certificate:
             raise ValueError(f"unsupported certificate version {doc.get('version')!r}")
         nodes = {}
         for row in doc["nodes"]:
-            t = Tuple(*row["tuple"])
+            t = _tuple_from_json(row["tuple"])
             jd = row["justification"]
             if jd["kind"] == "axiom":
                 nodes[t] = Axiom(tag=jd["tag"])
             elif jd["kind"] == "rule":
                 nodes[t] = RuleApp(
                     rule=RuleId(jd["rule"]),
-                    params=RuleParams.from_json(jd["params"]),
-                    children=tuple(Tuple(*c) for c in jd["children"]),
+                    params=RuleParams.from_json(_check_params(jd["params"])),
+                    children=tuple(_tuple_from_json(c) for c in jd["children"]),
                     proviso=jd.get("proviso"),
                 )
             else:
                 raise ValueError(f"unknown justification kind {jd['kind']!r}")
-        return cls(root=Tuple(*doc["root"]), nodes=nodes)
+        return cls(root=_tuple_from_json(doc["root"]), nodes=nodes)
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -242,36 +261,60 @@ def certify(
     else:
         accept = lambda s: ax.tag_of(s) is not None or is_good(s).is_good  # noqa: E731
 
-    def go(node: Tuple, depth: int) -> None:
+    def settle(node: Tuple, depth: int) -> Optional[bool]:
+        """Whether `node` is certified (True) or known to fail (False)
+        without trying a rule; None when its rules must be tried."""
         if depth > depth_cap:
             raise InvariantViolated(f"reduction depth blew past {depth_cap} at {node}")
         if node in mm:
-            if mm[node] is None:
-                raise Irreducible(node)
-            return
+            return mm[node] is not None
         if bounds is not None and (node.r > bounds[0] or node.d > bounds[1]):
             raise BoundsExceeded(node)
         tag = ax.tag_of(node)
         if tag is not None:
             mm[node] = Axiom(tag)
-            return
+            return True
         if not is_good(node).is_good:
             mm[node] = None
-            raise Irreducible(node)
+            return False
+        return None
+
+    def expand(node: Tuple, depth: int):
+        """Try the rule instances of `node` in order, subgoals left to right.
+        Yields each subgoal that `settle` leaves open and is sent back
+        whether it was certified; returns whether `node` was."""
         for rule in rules:
             for params, goals in enumerate_instances(rule, node, accept):
-                try:
-                    for child in goals:
-                        go(child, depth + 1)
-                except Irreducible:
-                    continue  # backtrack to the next instance
-                proviso = PROVISO_DELTA1 if rule is RuleId.DELTA_1_STEP else None
-                mm[node] = RuleApp(rule, params, tuple(goals), proviso)
-                return
+                for child in goals:
+                    ok = settle(child, depth + 1)
+                    if ok is None:
+                        ok = yield child
+                    if not ok:
+                        break  # backtrack to the next instance
+                else:
+                    proviso = PROVISO_DELTA1 if rule is RuleId.DELTA_1_STEP else None
+                    mm[node] = RuleApp(rule, params, tuple(goals), proviso)
+                    return True
         mm[node] = None
-        raise Irreducible(node)
+        return False
 
-    go(t, 0)
+    # Depth-first over an explicit stack of suspended expansions, so the
+    # length of a reduction chain is bounded by the depth cap, not by
+    # Python's recursion limit.  The expansion at index i is of a node at
+    # depth i.
+    stack = [] if settle(t, 0) is not None else [expand(t, 0)]
+    ok = None
+    while stack:
+        try:
+            child = stack[-1].send(ok)
+        except StopIteration as finished:
+            stack.pop()
+            ok = finished.value
+        else:
+            stack.append(expand(child, len(stack)))
+            ok = None
+    if mm[t] is None:
+        raise Irreducible(t)
 
     nodes = {}
     stack = [t]
@@ -342,21 +385,31 @@ def verify_certificate(
 # the sporadic sweep (small r)
 
 
-def _box_tuples(r: int):
-    eps0_g = lambda g: 1 if g == 0 else 0  # noqa: E731
-    for g in range(0, r):
-        for d in range(g + r, g + 2 * r):
+def sweep_order(t: Tuple) -> tuple:
+    """Sort key of every sweep listing: by r, then g, d, ell and m."""
+    return (t.r, t.g, t.d, t.ell, t.m)
+
+
+def _grid(r: int):
+    """(t, in_box) over the rank-r shell, in (g, d, ell, m) order.  The
+    shell contains the box g <= r-1, d <= g+2r-1, m <= r-2+eps0(g), which
+    the sporadic sweep and the large-r coverage check dispatch by rule."""
+    for g in range(0, r + 2):
+        for d in range(g + r, g + 2 * r + 3):
             rr = rho(d, g, r)
             if rr < 0:
                 continue
-            m_top = min(r - 2 + eps0_g(g), rr)
+            # the largest m of the box at this (g, d), or -1 outside it
+            m_box = (r - 2 + (1 if g == 0 else 0)) if g <= r - 1 and d <= g + 2 * r - 1 else -1
             for ell in range(0, r // 2 + 1):
-                for m in range(0, m_top + 1):
-                    yield Tuple(d, g, r, ell, m)
+                for m in range(0, min(rr, r + 1) + 1):
+                    yield Tuple(d, g, r, ell, m), m <= m_box
 
 
-def _on_delta1_locus(t: Tuple) -> bool:
-    return t.ell == 0 and t.m == 0 and 2 * t.d + 2 * t.g == 3 * t.r - 1
+def _in_sweep(t: Tuple) -> bool:
+    """Good and off the delta = 1, ell = m = 0 locus, which has its own descent."""
+    on_delta1 = t.ell == 0 and t.m == 0 and 2 * t.d + 2 * t.g == 3 * t.r - 1
+    return is_good(t).is_good and not on_delta1
 
 
 def enumerate_sporadic(r_max: int = 13) -> list:
@@ -366,19 +419,14 @@ def enumerate_sporadic(r_max: int = 13) -> list:
     locus are excluded (they are handled by their own descent)."""
     out = set()
     for r in range(3, r_max + 1):
-        for t in _box_tuples(r):
-            if not is_good(t).is_good:
-                continue
-            if _on_delta1_locus(t):
-                continue
-            out.add(t)
+        out.update(t for t, in_box in _grid(r) if in_box and _in_sweep(t))
     for x in XEX:
         if x.r > r_max:
             continue
         t = Tuple(x.d, x.g, x.r, x.ell, x.m + x.r - 1)
-        if is_good(t).is_good and not _on_delta1_locus(t):
+        if _in_sweep(t):
             out.add(t)
-    return sorted(out, key=lambda t: (t.r, t.g, t.d, t.ell, t.m))
+    return sorted(out, key=sweep_order)
 
 
 def _goodness_accept(s: Tuple) -> bool:
@@ -408,7 +456,7 @@ class SporadicReport:
     witnesses: dict  # Tuple -> (RuleId, RuleParams, goals)
 
     def rows(self):
-        for t in sorted(self.witnesses, key=lambda t: (t.r, t.g, t.d, t.ell, t.m)):
+        for t in sorted(self.witnesses, key=sweep_order):
             w = self.witnesses[t]
             if w is None:
                 yield (t, "irreducible", None, None)
@@ -445,10 +493,7 @@ def run_sporadic_search(
     else:
         found = _pmap(partial(find_reduction, rules=rules), tuples, workers, chunksize=64)
     witnesses = dict(zip(tuples, found))
-    irreducible = sorted(
-        (t for t, w in witnesses.items() if w is None),
-        key=lambda t: (t.r, t.g, t.d, t.ell, t.m),
-    )
+    irreducible = sorted((t for t, w in witnesses.items() if w is None), key=sweep_order)
     return SporadicReport(
         r_max=r_max,
         examined=len(tuples),
@@ -480,31 +525,18 @@ def _covers_outside_box(t: Tuple) -> bool:
 def _thm14_one_r(r: int):
     examined = 0
     uncovered = []
-    for t in _box_tuples(r):
-        if not is_good(t).is_good:
-            continue
-        if _on_delta1_locus(t):
-            continue
-        examined += 1
-        if find_reduction(t, SECTION8_RULES) is None:
-            uncovered.append(tuple(t))
     outside_checked = 0
     outside_uncovered = []
-    for g in range(0, r + 2):
-        for d in range(g + r, g + 2 * r + 3):
-            rr = rho(d, g, r)
-            if rr < 0:
-                continue
-            for ell in range(0, r // 2 + 1):
-                for m in range(0, min(rr, r + 1) + 1):
-                    t = Tuple(d, g, r, ell, m)
-                    eps0 = 1 if g == 0 else 0
-                    in_box = d <= g + 2 * r - 1 and g <= r - 1 and m <= r - 2 + eps0
-                    if in_box or not is_good(t).is_good:
-                        continue
-                    outside_checked += 1
-                    if not _covers_outside_box(t):
-                        outside_uncovered.append(tuple(t))
+    for t, in_box in _grid(r):
+        if in_box:
+            if _in_sweep(t):
+                examined += 1
+                if find_reduction(t, SECTION8_RULES) is None:
+                    uncovered.append(tuple(t))
+        elif is_good(t).is_good:
+            outside_checked += 1
+            if not _covers_outside_box(t):
+                outside_uncovered.append(tuple(t))
     return (r, examined, uncovered, outside_checked, outside_uncovered)
 
 

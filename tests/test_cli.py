@@ -169,6 +169,24 @@ def test_certify_with_extra_axioms(runner, tmp_path):
     assert res.exit_code == 0
 
 
+def test_certify_long_chain_exits_0(runner, tmp_path):
+    # a good tuple whose reduction chain is deeper than Python's default
+    # recursion limit
+    cert = tmp_path / "c.json"
+    res = run(runner, "certify", 3001, 0, 3, 0, 0, "--json", cert)
+    assert res.exit_code == 0, res.output
+    assert run(runner, "verify", cert).exit_code == 0
+
+
+def test_verify_float_certificate_is_an_input_error(runner, tmp_path):
+    cert = tmp_path / "c.json"
+    assert run(runner, "certify", 13, 2, 6, 1, 0, "--json", cert).exit_code == 0
+    doc = json.loads(cert.read_text())
+    doc["root"] = [float(x) for x in doc["root"]]
+    cert.write_text(json.dumps(doc))
+    assert run(runner, "verify", cert).exit_code == 1
+
+
 def test_verify_unreadable_certificate(runner, tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("{не json")

@@ -217,3 +217,30 @@ def test_combine_checks_rank_conservation_explicitly(monkeypatch):
     monkeypatch.setattr(erase, "_case_outcomes", lambda *a: [(0, 0, STRONG, 0)])
     with pytest.raises(InvariantViolated, match="rank conservation"):
         combine(AccState(1, 0, STRONG, 0), ModType(1, 0, STRONG), 5)
+
+
+def _replay_every_order(coll, r):
+    """(some order erases, every order erases), straight from
+    itertools.permutations through normalize and combine."""
+    outcomes = []
+    for order in set(itertools.permutations(coll.elements())):
+        if not order:
+            outcomes.append(True)
+            continue
+        state = normalize(AccState(order[0].t1, order[0].t2, order[0].strength, 0), r)
+        for mt in order[1:]:
+            state = combine(state, mt, r)
+            if state is None:
+                break
+        outcomes.append(state is not None and state.t2 == 0 and state.strength == STRONG)
+    return any(outcomes), all(outcomes)
+
+
+def test_order_walker_matches_a_direct_permutation_replay():
+    for size in range(0, 6):
+        for combo in itertools.combinations_with_replacement(SOURCE_CATALOGUE, size):
+            coll = Counter(combo)
+            for r in range(3, 8):
+                some, every = brute_force_erasable(coll, r), erasable_under_all_orders(coll, r)
+                assert (some, every) == _replay_every_order(coll, r), (dict(coll), r)
+                assert some or not every

@@ -2,6 +2,7 @@
 memoization, independent certificate verification with tamper detection,
 the sporadic sweep, and the large-r coverage check."""
 
+import copy
 import dataclasses
 import json
 import random
@@ -307,3 +308,38 @@ def test_thm14_parallel_agrees_with_serial():
         b.uncovered,
         b.outside_checked,
     )
+
+
+def test_certify_long_chain_is_not_bounded_by_the_recursion_limit():
+    # about 1,500 reduction steps: deeper than Python's default recursion
+    # limit, so the search has to keep its own stack
+    t = Tuple(3001, 0, 3, 0, 0)
+    cert = certify(t)
+    assert cert.root == t and len(cert.nodes) > 1000
+    assert verify_certificate(cert)
+
+
+def test_certificate_json_schema_takes_integers_only():
+    # 13.0 == 13 and both hash alike, so a float tuple must be refused on
+    # reading; it would otherwise verify
+    doc = certify(Tuple(13, 2, 6, 1, 0)).to_json()
+    assert Certificate.from_json(copy.deepcopy(doc)).nodes == Certificate.from_json(doc).nodes
+    m = next(i for i, row in enumerate(doc["nodes"]) if row["justification"].get("rule") == "master")
+
+    def edited(path, value):
+        bad = copy.deepcopy(doc)
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return bad
+
+    for path, value in [
+        (["root"], [13.0, 2.0, 6.0, 1.0, 0.0]),  # float tuple
+        (["nodes", 0, "tuple", 1], "2"),  # str entry
+        (["nodes", m, "justification", "children", 0, 4], False),  # bool entry
+        (["nodes", m, "justification", "params", "ell_prime"], 2.0),  # float param
+        (["nodes", m, "justification", "params", "any_ni_is_2"], 0),  # int flag
+    ]:
+        with pytest.raises(ValueError):
+            Certificate.from_json(edited(path, value))
