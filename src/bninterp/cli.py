@@ -2,7 +2,8 @@
 
 Exit codes follow one convention across subcommands:
   0  the requested property holds / output produced and matches
-  1  input error (malformed arguments, no curve exists, unreadable file)
+  1  input error (usage error, malformed arguments, empty sweep range,
+     no curve exists, unreadable file)
   2  the property fails for a mathematical reason (exception, not good,
      not erasable)
   3  a verification or comparison found violations
@@ -72,9 +73,8 @@ _WORKERS = click.option(
     type=int,
     default=1,
     show_default=True,
-    envvar="BNINTERP_WORKERS",
     callback=_parse_workers,
-    help="Worker processes, at most the CPU count (also via BNINTERP_WORKERS).",
+    help="Worker processes, at most the CPU count.",
 )
 
 
@@ -93,52 +93,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _load_config(ctx, param, value):
-    if not value:
-        return value
-    defaults: dict = {}
-    try:
-        with open(value, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"expected KEY=VALUE, got {line!r}")
-                key, _, val = line.partition("=")
-                defaults[key.strip().replace("-", "_")] = val.strip()
-    except (OSError, ValueError) as e:
-        _fail_input(f"config file: {e}")
-    # command-line flags win over config values, which win over built-in
-    # defaults.  default_map is keyed by parameter name, so translate the
-    # user-facing option spellings (e.g. "format") to the bound names.
-    default_map = {}
-    for cmd_name, cmd in ctx.command.commands.items():
-        sub = {}
-        for p in cmd.params:
-            candidates = {p.name}
-            candidates.update(
-                o.lstrip("-").replace("-", "_") for o in p.opts if o.startswith("--")
-            )
-            for key in candidates:
-                if key in defaults:
-                    sub[p.name] = defaults[key]
-        if sub:
-            default_map[cmd_name] = sub
-    ctx.default_map = default_map
-    return value
+class _Main(click.Group):
+    """The command group.  A usage error (unknown option or command, missing
+    or malformed argument) is an input error and exits 1: click's own exit
+    code for it, 2, means a negative answer here."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="bninterp")
-@click.option(
-    "--config",
-    type=click.Path(exists=False),
-    callback=_load_config,
-    expose_value=False,
-    is_eager=True,
-    help="KEY=VALUE file supplying defaults for subcommand options.",
-)
 def main():
     """Exact verification tools for interpolation of Brill-Noether curves."""
 
@@ -279,15 +255,14 @@ def _parse_rule(_ctx, _param, values):
 @_WORKERS
 @click.option("--csv", "csv_path", type=click.Path(), default=None, help="Write per-tuple rows to a CSV file.")
 @click.option("--expected", type=click.Path(), default=None, help="JSON constants file to compare the irreducible set against (default: built-in table).")
-@click.option("--recursive-accept", is_flag=True, help="Accept subgoals by bounded recursive certification instead of goodness.")
 @_FORMAT
-def sporadic(rmax, disabled, workers, csv_path, expected, recursive_accept, fmt):
+def sporadic(rmax, disabled, workers, csv_path, expected, fmt):
     """Sweep every candidate small-r tuple through the reduction rules and
     report which remain irreducible.  Exit 3 when the irreducible set
     differs from the expected table (filtered to r <= RMAX)."""
-    report = run_sporadic_search(
-        r_max=rmax, disabled=disabled, workers=workers, recursive_accept=recursive_accept
-    )
+    if rmax < 3:
+        _fail_input(f"rmax {rmax} leaves no rank to sweep (the sweep starts at r = 3)")
+    report = run_sporadic_search(r_max=rmax, disabled=disabled, workers=workers)
     if expected is not None:
         try:
             with open(expected, "r", encoding="utf-8") as fh:
@@ -357,6 +332,8 @@ def thm14(rmax, rmin, workers, fmt):
     Exit 3 when anything is left uncovered."""
     if rmin < 14:
         _fail_input("rmin below 14 is covered by the sporadic sweep instead")
+    if rmax < rmin:
+        _fail_input(f"empty rank range: rmax {rmax} is below rmin {rmin}")
     report = verify_thm14(r_max=rmax, r_min=rmin, workers=workers)
     bad = report.uncovered + report.outside_uncovered
     if fmt == "json":
@@ -399,8 +376,7 @@ def thm14(rmax, rmin, workers, fmt):
 @click.option("--axioms", "axioms_path", type=click.Path(), default=None, help="JSON file of extra terminal tuples with citations.")
 @click.option("--rmax-bound", type=int, default=None, help="Abort if the search needs r above this.")
 @click.option("--dmax-bound", type=int, default=None, help="Abort if the search needs d above this.")
-@click.option("--recursive-accept", is_flag=True, help="Let recursion, not goodness, accept subgoals.")
-def certify_cmd(d, g, r, ell, m, json_path, axioms_path, rmax_bound, dmax_bound, recursive_accept):
+def certify_cmd(d, g, r, ell, m, json_path, axioms_path, rmax_bound, dmax_bound):
     """Build a reduction certificate for the tuple (exit 0), or exit 4
     when no reduction chain exists.  A tuple that is neither good nor an
     axiom is an input error (exit 1)."""
@@ -418,7 +394,7 @@ def certify_cmd(d, g, r, ell, m, json_path, axioms_path, rmax_bound, dmax_bound,
     if rmax_bound is not None or dmax_bound is not None:
         bounds = (rmax_bound if rmax_bound is not None else t.r, dmax_bound if dmax_bound is not None else t.d)
     try:
-        cert = _certify(t, axioms=ax, bounds=bounds, recursive_accept=recursive_accept)
+        cert = _certify(t, axioms=ax, bounds=bounds)
     except Irreducible as e:
         click.echo(f"irreducible: {tuple(e.tuple)}")
         sys.exit(4)

@@ -148,26 +148,6 @@ def make_collection(s10=0, s11=0, s20=0, s21=0, w10=0) -> ModCollection:
     return c
 
 
-def collection_to_json(c: ModCollection, r: int) -> dict:
-    doc: dict = {"r": r, "s": {}, "w": {}}
-    for mt, n in sorted(c.items()):
-        if n:
-            doc["s" if mt.strength == STRONG else "w"][f"{mt.t1},{mt.t2}"] = n
-    return doc
-
-
-def collection_from_json(doc: dict) -> tuple[ModCollection, int]:
-    c: Counter = Counter()
-    for key, strength in (("s", STRONG), ("w", WEAK)):
-        for ij, n in doc.get(key, {}).items():
-            i, j = (int(x) for x in ij.split(","))
-            if n < 0:
-                raise CalculusError(f"negative count for {key}{ij}")
-            if n:
-                c[ModType(i, j, strength)] += n
-    return c, int(doc["r"])
-
-
 def _check_types(c: ModCollection, r: int) -> None:
     for mt, n in c.items():
         if n < 0:

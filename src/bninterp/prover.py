@@ -53,11 +53,6 @@ class BoundsExceeded(Exception):
         self.tuple = t
 
 
-def _enabled_rules(disabled: Iterable[RuleId]) -> tuple:
-    off = set(disabled)
-    return tuple(r for r in RULE_ORDER if r not in off)
-
-
 # ---------------------------------------------------------------------------
 # parallel map
 
@@ -103,19 +98,16 @@ def _is_canonical_odd_r(t: Tuple) -> bool:
 class AxiomSet:
     """Terminal tuples the searcher accepts without further reduction.
 
-    `extra` maps tuples to free-text citations supplied by the user;
-    `include_sporadic30` exists so the finite table can be switched off
-    when probing which of its members are independently reachable."""
+    `extra` maps tuples to free-text citations supplied by the user."""
 
     extra: dict = field(default_factory=dict)
-    include_sporadic30: bool = True
 
     def tag_of(self, t: Tuple) -> Optional[str]:
         if t.r <= 2:
             return "SmallR"
         if _is_delta1_base(t):
             return "Delta1Base"
-        if self.include_sporadic30 and t in SPORADIC30:
+        if t in SPORADIC30:
             return "Sporadic30"
         if _is_canonical_odd_r(t):
             return "CanonicalEven"
@@ -130,7 +122,7 @@ class AxiomSet:
     def from_json(cls, doc: dict) -> "AxiomSet":
         extra = {}
         for row in doc.get("axioms", ()):
-            extra[Tuple(*row["tuple"])] = str(row.get("citation", ""))
+            extra[_tuple_from_json(row["tuple"])] = str(row.get("citation", ""))
         return cls(extra=extra)
 
     @classmethod
@@ -237,29 +229,21 @@ def certify(
     t: Tuple,
     axioms: Optional[AxiomSet] = None,
     bounds: Optional[tuple] = None,
-    disabled: Iterable[RuleId] = (),
     memo: Optional[dict] = None,
-    recursive_accept: bool = False,
 ) -> Certificate:
     """Build a reduction certificate for `t`, or raise Irreducible naming
     the first good tuple that could not be reduced.
 
-    `memo` may be shared across calls that use the same axioms / bounds /
-    rule set; it maps tuples to a Justification or to None for tuples
-    already known to fail.  `bounds` is an optional (max_r, max_d) cutoff;
-    exceeding it raises BoundsExceeded rather than backtracking.  By
-    default a rule instance is only considered when each subgoal is good
-    or an axiom; `recursive_accept` drops that pre-filter and lets the
-    recursion itself decide (slower, occasionally more complete)."""
+    `memo` may be shared across calls that use the same axioms / bounds;
+    it maps tuples to a Justification or to None for tuples already known
+    to fail.  `bounds` is an optional (max_r, max_d) cutoff; exceeding it
+    raises BoundsExceeded rather than backtracking.  A rule instance is
+    only tried when each subgoal is good or an axiom: no other subgoal can
+    be certified."""
     ax = axioms if axioms is not None else AxiomSet()
     mm = {} if memo is None else memo
-    rules = _enabled_rules(disabled)
     depth_cap = t.r + t.d + t.m + 8
-
-    if recursive_accept:
-        accept = lambda s: True  # noqa: E731
-    else:
-        accept = lambda s: ax.tag_of(s) is not None or is_good(s).is_good  # noqa: E731
+    accept = lambda s: ax.tag_of(s) is not None or is_good(s).is_good  # noqa: E731
 
     def settle(node: Tuple, depth: int) -> Optional[bool]:
         """Whether `node` is certified (True) or known to fail (False)
@@ -283,7 +267,7 @@ def certify(
         """Try the rule instances of `node` in order, subgoals left to right.
         Yields each subgoal that `settle` leaves open and is sent back
         whether it was certified; returns whether `node` was."""
-        for rule in rules:
+        for rule in RULE_ORDER:
             for params, goals in enumerate_instances(rule, node, accept):
                 for child in goals:
                     ok = settle(child, depth + 1)
@@ -433,15 +417,11 @@ def _goodness_accept(s: Tuple) -> bool:
     return is_good(s).is_good
 
 
-def find_reduction(
-    t: Tuple,
-    rules: Iterable[RuleId] = RULE_ORDER,
-    accept: Callable[[Tuple], bool] = _goodness_accept,
-) -> Optional[tuple]:
-    """First (rule, params, goals) whose subgoals all pass `accept`, in
-    rule order; None if every rule fails."""
+def find_reduction(t: Tuple, rules: Iterable[RuleId] = RULE_ORDER) -> Optional[tuple]:
+    """First (rule, params, goals) whose subgoals are all good, in rule
+    order; None if every rule fails."""
     for rule in rules:
-        hit = first_instance(rule, t, accept)
+        hit = first_instance(rule, t, _goodness_accept)
         if hit is not None:
             return (rule, hit[0], hit[1])
     return None
@@ -468,30 +448,15 @@ def run_sporadic_search(
     r_max: int = 13,
     disabled: Iterable[RuleId] = (),
     workers: int = 1,
-    recursive_accept: bool = False,
 ) -> SporadicReport:
-    """Try to reduce every sporadic-sweep tuple once (subgoals accepted by
-    goodness alone, or by bounded recursive certification) and report the
-    irreducible remainder.  Serial and parallel runs give equal reports;
-    recursive acceptance shares one memo and so always runs serially."""
+    """Try to reduce every sporadic-sweep tuple once, accepting subgoals by
+    goodness, and report the irreducible remainder.  Serial and parallel
+    runs give equal reports."""
     workers = check_workers(workers)
     tuples = enumerate_sporadic(r_max)
-    disabled = tuple(disabled)
-    rules = _enabled_rules(disabled)
-    if recursive_accept:
-        memo = {}
-        ax = AxiomSet()
-
-        def certifies(s: Tuple) -> bool:
-            try:
-                certify(s, axioms=ax, disabled=disabled, memo=memo)
-                return True
-            except Irreducible:
-                return False
-
-        found = [find_reduction(t, rules, accept=certifies) for t in tuples]
-    else:
-        found = _pmap(partial(find_reduction, rules=rules), tuples, workers, chunksize=64)
+    off = set(disabled)
+    rules = tuple(r for r in RULE_ORDER if r not in off)
+    found = _pmap(partial(find_reduction, rules=rules), tuples, workers, chunksize=64)
     witnesses = dict(zip(tuples, found))
     irreducible = sorted((t for t, w in witnesses.items() if w is None), key=sweep_order)
     return SporadicReport(

@@ -206,18 +206,52 @@ def test_erasable_command(runner):
     assert doc["erasable"] is False and res.exit_code == 2
 
 
-def test_config_file_supplies_defaults_and_flags_win(runner, tmp_path):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("format=json\n# comment\n")
-    res = runner.invoke(main, ["--config", str(cfg), "check", "4", "1", "3"])
-    assert res.exit_code == 0
-    assert json.loads(res.output)["holds"] is True
-    res = runner.invoke(
-        main, ["--config", str(cfg), "check", "4", "1", "3", "--format", "plain"]
-    )
-    assert res.output.strip() == "holds"
-
-
 def test_version_flag(runner):
     res = run(runner, "--version")
     assert res.exit_code == 0 and "0.1.0" in res.output
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[9.0, 9, 9, 0, 0], [9, "9", 9, 0, 0], [9, 9, 9, False, 0], [9, 9, 9, 0]],
+    ids=["float", "str", "bool", "four-entries"],
+)
+def test_axioms_file_takes_integer_tuples_only(runner, tmp_path, entry):
+    ax = tmp_path / "ax.json"
+    ax.write_text(json.dumps({"axioms": [{"tuple": entry, "citation": "assumed"}]}))
+    res = run(runner, "certify", 9, 9, 9, 0, 0, "--axioms", ax)
+    assert res.exit_code == 1 and "axioms file:" in res.output
+    cert = tmp_path / "c.json"
+    assert run(runner, "certify", 13, 2, 6, 1, 0, "--json", cert).exit_code == 0
+    res = run(runner, "verify", cert, "--axioms", ax)
+    assert res.exit_code == 1 and "axioms file:" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["good", 5, 2, 3, 0],
+        ["check", "x", 1, 3],
+        ["good", 5, 2, 3, 0, 1, "--format", "xml"],
+        ["sporadic", "--bogus"],
+        ["thm14"],
+        ["no-such-command"],
+        ["--bogus"],
+    ],
+)
+def test_usage_errors_are_input_errors(runner, args):
+    assert run(runner, *args).exit_code == 1
+
+
+def test_help_and_negative_answers_keep_their_exit_codes(runner):
+    assert run(runner, "--help").exit_code == 0
+    assert run(runner, "good", "--help").exit_code == 0
+    res = run(runner, "good", 5, 2, 3, 0, 0)  # a member of the bad-residue list
+    assert res.exit_code == 2 and "not good" in res.output
+
+
+def test_empty_sweep_ranges_are_input_errors(runner):
+    res = run(runner, "thm14", "--rmax", 10)
+    assert res.exit_code == 1 and "examined" not in res.output
+    res = run(runner, "sporadic", "--rmax", 2)
+    assert res.exit_code == 1 and "examined" not in res.output

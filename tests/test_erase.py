@@ -26,8 +26,6 @@ import bninterp.erase as erase
 from bninterp import InvariantViolated
 from bninterp.erase import (
     SOURCE_CATALOGUE,
-    collection_from_json,
-    collection_to_json,
     erasable_fast,
     type_name,
     weight,
@@ -184,13 +182,6 @@ def test_memoized_search_matches_brute_force():
 def test_brute_force_caps_input_size():
     with pytest.raises(TooLarge):
         brute_force_erasable(Counter({ModType(1, 0, STRONG): 10}), 5)
-
-
-def test_collection_json_round_trip():
-    coll = make_collection(s10=2, s11=1, s20=3, s21=0, w10=2)
-    doc = collection_to_json(coll, 6)
-    back, r = collection_from_json(doc)
-    assert back == coll and r == 6
 
 
 def test_is_erasable_deterministic_and_consistent_with_fast_path():

@@ -43,9 +43,6 @@ def test_axiom_tags():
     assert ax.tag_of(Tuple(14, 8, 7, 0, 0)) == "CanonicalEven"
     assert ax.tag_of(Tuple(14, 8, 7, 0, 1)) is None
     assert ax.tag_of(Tuple(12, 6, 5, 0, 0)) is None
-    # the sporadic table can be switched off for reachability probes
-    ax2 = AxiomSet(include_sporadic30=False)
-    assert ax2.tag_of(Tuple(5, 2, 3, 0, 1)) is None
 
 
 def test_extra_axioms_from_file(tmp_path):
@@ -271,19 +268,6 @@ def test_disabling_rules_only_shrinks_reducibility():
     )
     assert set(full.irreducible) <= set(crippled.irreducible)
     assert len(crippled.irreducible) > len(full.irreducible)
-
-
-def test_recursive_accept_smoke():
-    rep = run_sporadic_search(r_max=3, recursive_accept=True)
-    # recursion can only help: nothing reducible under goodness-accept
-    # becomes irreducible, and the table rows of course remain
-    base = run_sporadic_search(r_max=3)
-    assert set(rep.irreducible) <= set(base.irreducible)
-    for t in SPORADIC30:
-        if t.r <= 3 and t not in set(rep.irreducible):
-            # a table row reduced recursively must have non-good subgoals
-            w = rep.witnesses[t]
-            assert w is not None
 
 
 def test_section8_rules_exclude_the_degeneration_moves():
