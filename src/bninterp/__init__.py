@@ -49,7 +49,6 @@ from .intfeas import Bound, BoundSystem, eliminate_sufficient, integer_in_interv
 from .prover import (
     AxiomSet,
     Axiom,
-    BoundsExceeded,
     Certificate,
     Irreducible,
     RuleApp,
@@ -130,7 +129,6 @@ __all__ = [
     "Certificate",
     "VerifyResult",
     "Irreducible",
-    "BoundsExceeded",
     "certify",
     "verify_certificate",
     "enumerate_sporadic",

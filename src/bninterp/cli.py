@@ -34,10 +34,10 @@ from .core import (
 from .erase import STRONG, WEAK, CalculusError, ModType, is_erasable
 from .prover import (
     AxiomSet,
-    BoundsExceeded,
     Certificate,
     Irreducible,
     RuleApp,
+    _tuple_from_json,
     certify as _certify,
     check_workers,
     run_sporadic_search,
@@ -76,21 +76,6 @@ _WORKERS = click.option(
     callback=_parse_workers,
     help="Worker processes, at most the CPU count.",
 )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 class _Main(click.Group):
@@ -132,8 +117,6 @@ def check(d, g, r, char, fmt):
     """Decide whether interpolation holds for general curves of degree D,
     genus G in projective R-space.  Exit 0 when it holds, 2 on an
     exception, 1 when no such curve exists."""
-    if char != 0 and not _is_prime(char):
-        _fail_input(f"characteristic {char} is neither 0 nor prime")
     try:
         verdict = bn_interpolation(d, g, r, char=char)
     except DomainError as e:
@@ -254,7 +237,7 @@ def _parse_rule(_ctx, _param, values):
 )
 @_WORKERS
 @click.option("--csv", "csv_path", type=click.Path(), default=None, help="Write per-tuple rows to a CSV file.")
-@click.option("--expected", type=click.Path(), default=None, help="JSON constants file to compare the irreducible set against (default: built-in table).")
+@click.option("--expected", type=click.Path(), default=None, help="JSON constants file (integer rows) to compare the irreducible set against (default: built-in table).")
 @_FORMAT
 def sporadic(rmax, disabled, workers, csv_path, expected, fmt):
     """Sweep every candidate small-r tuple through the reduction rules and
@@ -267,7 +250,7 @@ def sporadic(rmax, disabled, workers, csv_path, expected, fmt):
         try:
             with open(expected, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            want = {Tuple(*row) for row in doc["sporadic30"]}
+            want = {_tuple_from_json(row) for row in doc["sporadic30"]}
         except (OSError, ValueError, KeyError, TypeError) as e:
             _fail_input(f"expected file: {e}")
     else:
@@ -366,6 +349,15 @@ def thm14(rmax, rmin, workers, fmt):
 # ---------------------------------------------------------------------------
 
 
+def _load_axioms(path) -> AxiomSet:
+    if path is None:
+        return AxiomSet()
+    try:
+        return AxiomSet.load(path)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        _fail_input(f"axioms file: {e}")
+
+
 @main.command(name="certify")
 @click.argument("d", type=int)
 @click.argument("g", type=int)
@@ -373,33 +365,20 @@ def thm14(rmax, rmin, workers, fmt):
 @click.argument("ell", type=int)
 @click.argument("m", type=int)
 @click.option("--json", "json_path", type=click.Path(), default=None, help="Write the certificate to this file.")
-@click.option("--axioms", "axioms_path", type=click.Path(), default=None, help="JSON file of extra terminal tuples with citations.")
-@click.option("--rmax-bound", type=int, default=None, help="Abort if the search needs r above this.")
-@click.option("--dmax-bound", type=int, default=None, help="Abort if the search needs d above this.")
-def certify_cmd(d, g, r, ell, m, json_path, axioms_path, rmax_bound, dmax_bound):
+@click.option("--axioms", "axioms_path", type=click.Path(), default=None, help="JSON file of extra terminal tuples.")
+def certify_cmd(d, g, r, ell, m, json_path, axioms_path):
     """Build a reduction certificate for the tuple (exit 0), or exit 4
     when no reduction chain exists.  A tuple that is neither good nor an
     axiom is an input error (exit 1)."""
     t = Tuple(d, g, r, ell, m)
-    ax = AxiomSet()
-    if axioms_path is not None:
-        try:
-            ax = AxiomSet.load(axioms_path)
-        except (OSError, ValueError, KeyError, TypeError) as e:
-            _fail_input(f"axioms file: {e}")
+    ax = _load_axioms(axioms_path)
     if ax.tag_of(t) is None and not is_good(t).is_good:
         failures = ", ".join(is_good(t).failures)
         _fail_input(f"tuple is not good ({failures}) and is not an axiom")
-    bounds = None
-    if rmax_bound is not None or dmax_bound is not None:
-        bounds = (rmax_bound if rmax_bound is not None else t.r, dmax_bound if dmax_bound is not None else t.d)
     try:
-        cert = _certify(t, axioms=ax, bounds=bounds)
+        cert = _certify(t, axioms=ax)
     except Irreducible as e:
         click.echo(f"irreducible: {tuple(e.tuple)}")
-        sys.exit(4)
-    except BoundsExceeded as e:
-        click.echo(f"bounds exceeded at {tuple(e.tuple)}")
         sys.exit(4)
     res = verify_certificate(cert, axioms=ax)
     if not res:
@@ -419,12 +398,7 @@ def certify_cmd(d, g, r, ell, m, json_path, axioms_path, rmax_bound, dmax_bound)
 def verify_cmd(certificate, axioms_path):
     """Re-check a certificate file independently of the search that built
     it.  Exit 0 when sound, 3 when any node fails."""
-    ax = AxiomSet()
-    if axioms_path is not None:
-        try:
-            ax = AxiomSet.load(axioms_path)
-        except (OSError, ValueError, KeyError, TypeError) as e:
-            _fail_input(f"axioms file: {e}")
+    ax = _load_axioms(axioms_path)
     try:
         cert = Certificate.read(certificate)
     except (OSError, ValueError, KeyError, TypeError) as e:

@@ -224,6 +224,21 @@ def is_good(t: Tuple) -> GoodnessVerdict:
     return GoodnessVerdict(not failures, tuple(failures))
 
 
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def bn_interpolation(d: int, g: int, r: int, char: int = 0) -> InterpolationVerdict:
     """Decide interpolation for the general BN-curve of degree d, genus g in P^r.
 
@@ -231,6 +246,8 @@ def bn_interpolation(d: int, g: int, r: int, char: int = 0) -> InterpolationVerd
     unless (d, g, r) is one of the five counterexample triples, or char = 2
     with g = 0 and d not congruent to 1 mod r - 1.
     """
+    if char != 0 and not _is_prime(char):
+        raise DomainError(f"characteristic {char} is neither 0 nor prime")
     if r < 1 or d < 1:
         raise DomainError(f"need r >= 1 and d >= 1, got (d, g, r) = ({d}, {g}, {r})")
     if rho(d, g, r) < 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Union
 
@@ -36,6 +36,8 @@ SECTION8_RULES = tuple(
 )
 
 PROVISO_DELTA1 = "assumes g > 0 or field characteristic != 2"
+# the hypothesis on the ground field that a rule's validity carries, if any
+PROVISOS = {RuleId.DELTA_1_STEP: PROVISO_DELTA1}
 
 
 class Irreducible(Exception):
@@ -44,12 +46,6 @@ class Irreducible(Exception):
 
     def __init__(self, t: Tuple):
         super().__init__(f"no reduction found for {t}")
-        self.tuple = t
-
-
-class BoundsExceeded(Exception):
-    def __init__(self, t: Tuple):
-        super().__init__(f"search bounds exceeded at {t}")
         self.tuple = t
 
 
@@ -98,9 +94,9 @@ def _is_canonical_odd_r(t: Tuple) -> bool:
 class AxiomSet:
     """Terminal tuples the searcher accepts without further reduction.
 
-    `extra` maps tuples to free-text citations supplied by the user."""
+    `extra` holds the tuples supplied by the user."""
 
-    extra: dict = field(default_factory=dict)
+    extra: frozenset = frozenset()
 
     def tag_of(self, t: Tuple) -> Optional[str]:
         if t.r <= 2:
@@ -115,15 +111,11 @@ class AxiomSet:
             return "Extra"
         return None
 
-    def citation_of(self, t: Tuple) -> Optional[str]:
-        return self.extra.get(t)
-
     @classmethod
     def from_json(cls, doc: dict) -> "AxiomSet":
-        extra = {}
-        for row in doc.get("axioms", ()):
-            extra[_tuple_from_json(row["tuple"])] = str(row.get("citation", ""))
-        return cls(extra=extra)
+        """Read `{"axioms": [{"tuple": [...], ...}]}`; keys besides `tuple`,
+        such as a `citation`, are for the reader of the file and ignored."""
+        return cls(extra=frozenset(_tuple_from_json(row["tuple"]) for row in doc.get("axioms", ())))
 
     @classmethod
     def load(cls, path: str) -> "AxiomSet":
@@ -228,18 +220,16 @@ class Certificate:
 def certify(
     t: Tuple,
     axioms: Optional[AxiomSet] = None,
-    bounds: Optional[tuple] = None,
     memo: Optional[dict] = None,
 ) -> Certificate:
     """Build a reduction certificate for `t`, or raise Irreducible naming
-    the first good tuple that could not be reduced.
+    `t` when no reduction chain exists.
 
-    `memo` may be shared across calls that use the same axioms / bounds;
-    it maps tuples to a Justification or to None for tuples already known
-    to fail.  `bounds` is an optional (max_r, max_d) cutoff; exceeding it
-    raises BoundsExceeded rather than backtracking.  A rule instance is
-    only tried when each subgoal is good or an axiom: no other subgoal can
-    be certified."""
+    `memo` may be shared across calls that use the same axioms; it maps
+    tuples to a Justification or to None for tuples already known to
+    fail.  A rule instance is only tried when each subgoal is good or an
+    axiom: no other subgoal can be certified.  No rule raises r or d, so
+    the search stays within the root's own r and d."""
     ax = axioms if axioms is not None else AxiomSet()
     mm = {} if memo is None else memo
     depth_cap = t.r + t.d + t.m + 8
@@ -252,8 +242,6 @@ def certify(
             raise InvariantViolated(f"reduction depth blew past {depth_cap} at {node}")
         if node in mm:
             return mm[node] is not None
-        if bounds is not None and (node.r > bounds[0] or node.d > bounds[1]):
-            raise BoundsExceeded(node)
         tag = ax.tag_of(node)
         if tag is not None:
             mm[node] = Axiom(tag)
@@ -276,8 +264,7 @@ def certify(
                     if not ok:
                         break  # backtrack to the next instance
                 else:
-                    proviso = PROVISO_DELTA1 if rule is RuleId.DELTA_1_STEP else None
-                    mm[node] = RuleApp(rule, params, tuple(goals), proviso)
+                    mm[node] = RuleApp(rule, params, tuple(goals), PROVISOS.get(rule))
                     return True
         mm[node] = None
         return False
@@ -328,9 +315,9 @@ def verify_certificate(
 ) -> VerifyResult:
     """Re-check a certificate independently of the search: every axiom tag
     must be reproduced by the axiom set, every rule instance must re-run to
-    exactly the stored subgoals, every subgoal must be present, and the
-    (r, d, m) measure must drop strictly along every edge (which rules out
-    cycles)."""
+    exactly the stored subgoals and carry exactly its rule's proviso, every
+    subgoal must be present, and the (r, d, m) measure must drop strictly
+    along every edge (which rules out cycles)."""
     ax = axioms if axioms is not None else AxiomSet()
 
     def fail(code: str, detail: str) -> VerifyResult:
@@ -351,6 +338,11 @@ def verify_certificate(
                 return fail(
                     "ChildMismatch",
                     f"{node} via {j.rule.value}: re-run gives {goals}, stored {list(j.children)}",
+                )
+            if j.proviso != PROVISOS.get(j.rule):
+                return fail(
+                    "ProvisoMismatch",
+                    f"{node} via {j.rule.value}: proviso {j.proviso!r}, expected {PROVISOS.get(j.rule)!r}",
                 )
             for child in j.children:
                 if child not in cert.nodes:
@@ -497,11 +489,11 @@ def _thm14_one_r(r: int):
             if _in_sweep(t):
                 examined += 1
                 if find_reduction(t, SECTION8_RULES) is None:
-                    uncovered.append(tuple(t))
+                    uncovered.append(t)
         elif is_good(t).is_good:
             outside_checked += 1
             if not _covers_outside_box(t):
-                outside_uncovered.append(tuple(t))
+                outside_uncovered.append(t)
     return (r, examined, uncovered, outside_checked, outside_uncovered)
 
 
@@ -511,9 +503,9 @@ def verify_thm14(r_max: int, r_min: int = 14, workers: int = 1) -> Thm14Report:
     tuple in a shell outside the box satisfies a peeling precondition."""
     results = _pmap(_thm14_one_r, list(range(r_min, r_max + 1)), workers)
     examined = sum(r[1] for r in results)
-    uncovered = [Tuple(*t) for row in results for t in row[2]]
+    uncovered = [t for row in results for t in row[2]]
     outside_checked = sum(r[3] for r in results)
-    outside_uncovered = [Tuple(*t) for row in results for t in row[4]]
+    outside_uncovered = [t for row in results for t in row[4]]
     return Thm14Report(
         r_min=r_min,
         r_max=r_max,

@@ -120,6 +120,17 @@ def test_sporadic_expected_file(runner, tmp_path):
     assert res.exit_code == 0
 
 
+@pytest.mark.parametrize("row", [[4.0, 0, 3, 0, 1], [4, 0, "3", 0, 1]], ids=["float", "str"])
+def test_sporadic_expected_file_takes_integer_rows_only(runner, tmp_path, row):
+    out = tmp_path / "constants.json"
+    assert run(runner, "dump-constants", "--out", out).exit_code == 0
+    doc = json.loads(out.read_text())
+    doc["sporadic30"][0] = row
+    out.write_text(json.dumps(doc))
+    res = run(runner, "sporadic", "--rmax", 3, "--expected", out)
+    assert res.exit_code == 1 and "expected file:" in res.output
+
+
 def test_thm14_command(runner):
     res = run(runner, "thm14", "--rmax", 14, "--format", "json")
     assert res.exit_code == 0
@@ -149,11 +160,6 @@ def test_certify_rejects_bad_input(runner):
     res = run(runner, "certify", 2, 0, 3, 0, 0)
     assert res.exit_code == 1
     assert "not good" in res.output
-
-
-def test_certify_bounds_exceeded_exits_4(runner):
-    res = run(runner, "certify", 13, 2, 6, 1, 0, "--rmax-bound", 5)
-    assert res.exit_code == 4
 
 
 def test_certify_with_extra_axioms(runner, tmp_path):
@@ -237,6 +243,7 @@ def test_axioms_file_takes_integer_tuples_only(runner, tmp_path, entry):
         ["thm14"],
         ["no-such-command"],
         ["--bogus"],
+        ["certify", 13, 2, 6, 1, 0, "--rmax-bound", 5],
     ],
 )
 def test_usage_errors_are_input_errors(runner, args):

@@ -138,6 +138,11 @@ def test_interpolation_domain_errors():
         bn_interpolation(4, 1, 0)
     with pytest.raises(DomainError):
         bn_interpolation(0, 0, 3)
+    # the characteristic is 0 or a prime
+    for char in (4, -2, 1, 9):
+        with pytest.raises(DomainError, match="neither 0 nor prime"):
+            bn_interpolation(4, 0, 3, char=char)
+    assert bn_interpolation(4, 0, 3, char=7).holds
 
 
 def test_max_points_formula_and_exceptions():

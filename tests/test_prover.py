@@ -5,7 +5,6 @@ the sporadic sweep, and the large-r coverage check."""
 import copy
 import dataclasses
 import json
-import random
 
 import pytest
 
@@ -13,7 +12,6 @@ from bninterp import (
     SPORADIC30,
     AxiomSet,
     Axiom,
-    BoundsExceeded,
     Certificate,
     Irreducible,
     RuleApp,
@@ -51,7 +49,6 @@ def test_extra_axioms_from_file(tmp_path):
     ax = AxiomSet.load(str(p))
     t = Tuple(9, 9, 9, 0, 0)
     assert ax.tag_of(t) == "Extra"
-    assert ax.citation_of(t) == "external fact"
     cert = certify(t, axioms=ax)
     assert cert.nodes[t] == Axiom("Extra")
     assert verify_certificate(cert, axioms=ax)
@@ -91,22 +88,6 @@ def test_certify_records_the_characteristic_proviso():
 def test_certify_rejects_non_good_non_axiom_input():
     with pytest.raises(Irreducible):
         certify(Tuple(2, 0, 3, 0, 0))
-
-
-def test_certify_respects_bounds():
-    with pytest.raises(BoundsExceeded):
-        certify(Tuple(13, 2, 6, 1, 0), bounds=(5, 30))
-    # rules never increase r or d, so the root's own box always suffices
-    rng = random.Random(6)
-    for _ in range(60):
-        r = rng.randint(3, 8)
-        g = rng.randint(0, r)
-        d = rng.randint(g + r, g + 2 * r + 2)
-        t = Tuple(d, g, r, rng.randint(0, r // 2), rng.randint(0, max(0, min(3, rho(d, g, r)))))
-        if not is_good(t).is_good:
-            continue
-        cert = certify(t, bounds=(t.r, t.d))
-        assert verify_certificate(cert)
 
 
 def test_certify_shares_memo_across_calls():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bninterp import Certificate, RuleApp, Tuple, certify, is_good, rho, verify_certificate
+from bninterp.prover import PROVISO_DELTA1
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -101,6 +102,28 @@ def test_moving_an_integer_param_by_one_is_detected(pool, data):
     params = dataclasses.replace(j.params, **{key: getattr(j.params, key) + step})
     res = verify_certificate(_replaced(cert, node, dataclasses.replace(j, params=params)))
     assert res.code in ("PreconditionViolated", "ChildMismatch"), (t, node, key, step, res)
+
+
+def test_stripping_the_delta1_proviso_is_detected():
+    t = Tuple(22, 3, 17, 0, 0)
+    doc = certify(t).to_json()
+    (row,) = [row for row in doc["nodes"] if row["tuple"] == list(t)]
+    assert row["justification"].pop("proviso") == PROVISO_DELTA1
+    res = verify_certificate(Certificate.from_json(doc))
+    assert res.code == "ProvisoMismatch", res
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_a_made_up_proviso_is_detected(pool, data):
+    # a certificate of more than one node has a rule node at its root
+    t = data.draw(st.sampled_from(pool["multi"]))
+    cert = pool["certs"][t]
+    node = data.draw(st.sampled_from(sorted(n for n, j in cert.nodes.items() if isinstance(j, RuleApp))))
+    j = cert.nodes[node]
+    proviso = data.draw(st.sampled_from([p for p in (None, PROVISO_DELTA1, "assumes nothing") if p != j.proviso]))
+    res = verify_certificate(_replaced(cert, node, dataclasses.replace(j, proviso=proviso)))
+    assert res.code == "ProvisoMismatch", (t, node, proviso, res)
 
 
 @_SETTINGS
