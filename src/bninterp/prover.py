@@ -35,6 +35,14 @@ SECTION8_RULES = tuple(
     r for r in RULE_ORDER if r not in (RuleId.MASTER_ERASABLE, RuleId.DELTA_1_STEP)
 )
 
+# rules that cannot fire on a sweep tuple, so neither sweep tries them:
+# - peel-onion needs g >= r; box tuples have g <= r - 1, and the images of
+#   XEX have g <= 2 < 3 <= r;
+# - delta-1-step needs the delta = 1, ell = m = 0 locus, which _in_sweep
+#   excludes.
+_NOT_IN_SWEEPS = (RuleId.PEEL_ONION, RuleId.DELTA_1_STEP)
+_THM14_RULES = tuple(r for r in SECTION8_RULES if r not in _NOT_IN_SWEEPS)
+
 PROVISO_DELTA1 = "assumes g > 0 or field characteristic != 2"
 # the hypothesis on the ground field that a rule's validity carries, if any
 PROVISOS = {RuleId.DELTA_1_STEP: PROVISO_DELTA1}
@@ -115,7 +123,8 @@ class AxiomSet:
     def from_json(cls, doc: dict) -> "AxiomSet":
         """Read `{"axioms": [{"tuple": [...], ...}]}`; keys besides `tuple`,
         such as a `citation`, are for the reader of the file and ignored."""
-        return cls(extra=frozenset(_tuple_from_json(row["tuple"]) for row in doc.get("axioms", ())))
+        rows = _json_object(doc).get("axioms", ())
+        return cls(extra=frozenset(_tuple_from_json(_field(row, "tuple")) for row in rows))
 
     @classmethod
     def load(cls, path: str) -> "AxiomSet":
@@ -141,6 +150,20 @@ class RuleApp:
 
 
 Justification = Union[Axiom, RuleApp]
+
+
+def _json_object(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _field(doc, key: str):
+    """doc[key] for a JSON object `doc`; a ValueError that names the key
+    when it is missing."""
+    if key not in _json_object(doc):
+        raise ValueError(f"missing key {key!r}")
+    return doc[key]
 
 
 def _tuple_from_json(v) -> Tuple:
@@ -187,24 +210,25 @@ class Certificate:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Certificate":
-        if doc.get("version") != 1:
+        if _json_object(doc).get("version") != 1:
             raise ValueError(f"unsupported certificate version {doc.get('version')!r}")
         nodes = {}
-        for row in doc["nodes"]:
-            t = _tuple_from_json(row["tuple"])
-            jd = row["justification"]
-            if jd["kind"] == "axiom":
-                nodes[t] = Axiom(tag=jd["tag"])
-            elif jd["kind"] == "rule":
+        for row in _field(doc, "nodes"):
+            t = _tuple_from_json(_field(row, "tuple"))
+            jd = _field(row, "justification")
+            kind = _field(jd, "kind")
+            if kind == "axiom":
+                nodes[t] = Axiom(tag=_field(jd, "tag"))
+            elif kind == "rule":
                 nodes[t] = RuleApp(
-                    rule=RuleId(jd["rule"]),
-                    params=RuleParams.from_json(_check_params(jd["params"])),
-                    children=tuple(_tuple_from_json(c) for c in jd["children"]),
+                    rule=RuleId(_field(jd, "rule")),
+                    params=RuleParams.from_json(_check_params(_field(jd, "params"))),
+                    children=tuple(_tuple_from_json(c) for c in _field(jd, "children")),
                     proviso=jd.get("proviso"),
                 )
             else:
-                raise ValueError(f"unknown justification kind {jd['kind']!r}")
-        return cls(root=_tuple_from_json(doc["root"]), nodes=nodes)
+                raise ValueError(f"unknown justification kind {kind!r}")
+        return cls(root=_tuple_from_json(_field(doc, "root")), nodes=nodes)
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -447,7 +471,7 @@ def run_sporadic_search(
     workers = check_workers(workers)
     tuples = enumerate_sporadic(r_max)
     off = set(disabled)
-    rules = tuple(r for r in RULE_ORDER if r not in off)
+    rules = tuple(r for r in RULE_ORDER if r not in off and r not in _NOT_IN_SWEEPS)
     found = _pmap(partial(find_reduction, rules=rules), tuples, workers, chunksize=64)
     witnesses = dict(zip(tuples, found))
     irreducible = sorted((t for t, w in witnesses.items() if w is None), key=sweep_order)
@@ -488,7 +512,7 @@ def _thm14_one_r(r: int):
         if in_box:
             if _in_sweep(t):
                 examined += 1
-                if find_reduction(t, SECTION8_RULES) is None:
+                if find_reduction(t, _THM14_RULES) is None:
                     uncovered.append(t)
         elif is_good(t).is_good:
             outside_checked += 1

@@ -32,6 +32,15 @@ never validated.  A kept candidate that fails the check would be a defect
 in its enumerator and raises InvariantViolated.  A rule without parameters
 has no candidates to solve for: its check is its guard and runs before
 `accept`.
+
+First-instance contract.  `first_instance(rule, t, accept)` returns, in
+one plain call, what `enumerate_instances` would yield first, provided
+`accept` rejects every tuple that is not good.  The master family then
+starts each (ell', m') cell at the least d' whose first subgoal meets
+2 ell-bar <= r-1 and m-bar <= rho (see `_master_family_candidates`).  The
+sweeps skip peel-onion (it needs g >= r, which no sweep tuple has), and the
+sporadic sweep skips delta-1-step (it needs the delta = 1, ell = m = 0
+locus, which the sweep excludes); `certify` tries every rule.
 """
 
 from __future__ import annotations
@@ -454,7 +463,7 @@ def _goals_delta_1_step(t: Tuple, p: RuleParams) -> list[Tuple]:
 
 
 def _master_family_candidates(
-    t: Tuple, offset: int, strict: bool, goals: Callable
+    t: Tuple, offset: int, strict: bool, goals: Callable, least_good: bool = False
 ) -> Iterator[tuple[tuple, list[Tuple]]]:
     """(ell', m', d', sum_n, any2) in lexicographic order.
 
@@ -462,7 +471,13 @@ def _master_family_candidates(
     m'(r-1), so (ell', m') fix the parity of X and with it the one window
     centre X*.  Then sum_n = X* - offset - ell' - 2d + 2d' is linear in d',
     and the sum range [m' n_lo, m'(r-1)] is a closed d' interval.  ell-bar
-    >= 0 needs no test: sum_n <= m'(r-1) and ell' <= ell."""
+    >= 0 needs no test: sum_n <= m'(r-1) and ell' <= ell.
+
+    The first subgoal of both rules is (d'-1, g, r-1, ell-bar, m-bar) with
+    ell-bar = A - d'.  With `least_good`, each cell's d' run starts at the
+    least d' where two of its goodness clauses hold: 2 ell-bar <= r-1 and
+    m-bar <= rho(d'-1, g, r-1).  Both are lower bounds on d', so only
+    candidates with a subgoal that is not good are skipped."""
     d, g, r, ell, m = t
     if r < 3:
         return
@@ -484,14 +499,18 @@ def _master_family_candidates(
             c = x - offset - lp - 2 * d  # sum_n = c + 2d'; c has sum_n's parity
             lo = max(dp_lo, (mp * n_lo - c) // 2)
             hi = min(d, (mp * k - c) // 2)
+            a = ell - lp + (mp * k - c) // 2  # ell-bar = a - d'
+            mbar = m - mp
+            if least_good:
+                # 2(a - d') <= r-1, and r(d'-1) - k(g + r) >= m-bar
+                lo = max(lo, a - k // 2, 1 - (-(mbar + k * (g + r)) // r))
             for dp in range(lo, hi + 1):
                 sn = c + 2 * dp
                 # the canonical flag: below 4m' every even-height multiset has a 2
                 any2 = odd and sn < 4 * mp
                 if any2 and elliptic and dp == r + 1:
                     continue
-                lbar = ell - lp + (mp * k - sn) // 2
-                yield (lp, mp, dp, sn, any2), goals(t, dp, lbar, m - mp)
+                yield (lp, mp, dp, sn, any2), goals(t, dp, a - dp, mbar)
 
 
 def _master_params(lp, mp, dp, sn, any2) -> RuleParams:
@@ -601,21 +620,25 @@ class _Rule(NamedTuple):
     # (t) -> (parameter values, subgoals); None for rules without parameters
     candidates: Optional[Callable] = None
     params: Optional[Callable[..., RuleParams]] = None
+    # the candidates `first_instance` tries, when it may skip some whose
+    # subgoals are not all good
+    first_candidates: Optional[Callable] = None
+
+
+def _master_family_rule(offset: int, strict: bool, formula: Callable) -> _Rule:
+    candidates = partial(_master_family_candidates, offset=offset, strict=strict, goals=formula)
+    return _Rule(
+        partial(_check_master_family, offset=offset, strict=strict),
+        partial(_goals_master_family, formula=formula),
+        candidates,
+        _master_params,
+        partial(candidates, least_good=True),
+    )
 
 
 _RULES: dict[RuleId, _Rule] = {
-    RuleId.MASTER: _Rule(
-        partial(_check_master_family, offset=0, strict=False),
-        partial(_goals_master_family, formula=_master_goals),
-        partial(_master_family_candidates, offset=0, strict=False, goals=_master_goals),
-        _master_params,
-    ),
-    RuleId.MASTER_111: _Rule(
-        partial(_check_master_family, offset=1, strict=True),
-        partial(_goals_master_family, formula=_master_111_goals),
-        partial(_master_family_candidates, offset=1, strict=True, goals=_master_111_goals),
-        _master_params,
-    ),
+    RuleId.MASTER: _master_family_rule(0, False, _master_goals),
+    RuleId.MASTER_111: _master_family_rule(1, True, _master_111_goals),
     RuleId.MASTER_ERASABLE: _Rule(
         _check_master_erasable,
         _goals_master_erasable,
@@ -663,6 +686,29 @@ def apply(rule: RuleId, t: Tuple, p: RuleParams = _NO_PARAMS) -> list[Tuple]:
 # instance enumeration
 
 
+def _bare_instance(spec: _Rule, t: Tuple, accept: Callable) -> Optional[tuple[RuleParams, list[Tuple]]]:
+    """The one instance of a rule without parameters: its check is its
+    guard and runs before `accept`."""
+    if spec.check(t, _NO_PARAMS) is not None:
+        return None
+    goals = spec.goals(t, _NO_PARAMS)
+    return (_NO_PARAMS, goals) if all(accept(s) for s in goals) else None
+
+
+def _kept(
+    rule: RuleId, spec: _Rule, t: Tuple, values: tuple, goals: list[Tuple], accept: Callable
+) -> Optional[RuleParams]:
+    """The parameters of a candidate whose every subgoal `accept` keeps,
+    validated by the rule's check; None when `accept` rejects a subgoal."""
+    if not all(accept(s) for s in goals):
+        return None
+    p = spec.params(*values)
+    why = spec.check(t, p)
+    if why is not None:
+        raise InvariantViolated(f"{rule.value} enumerated {p} at {t}: {why}")
+    return p
+
+
 def enumerate_instances(
     rule: RuleId, t: Tuple, accept: Callable[[Tuple], bool] = lambda s: True
 ) -> Iterator[tuple[RuleParams, list[Tuple]]]:
@@ -671,22 +717,29 @@ def enumerate_instances(
     sorted parameter) order.  `accept` runs before the check (see the
     module docstring)."""
     spec = _RULES[rule]
-    if spec.candidates is None:  # no parameters: the check is the guard
-        if spec.check(t, _NO_PARAMS) is None:
-            goals = spec.goals(t, _NO_PARAMS)
-            if all(accept(s) for s in goals):
-                yield _NO_PARAMS, goals
+    if spec.candidates is None:
+        hit = _bare_instance(spec, t, accept)
+        if hit is not None:
+            yield hit
         return
     for values, goals in spec.candidates(t):
-        if all(accept(s) for s in goals):
-            p = spec.params(*values)
-            why = spec.check(t, p)
-            if why is not None:
-                raise InvariantViolated(f"{rule.value} enumerated {p} at {t}: {why}")
+        p = _kept(rule, spec, t, values, goals, accept)
+        if p is not None:
             yield p, goals
 
 
 def first_instance(
     rule: RuleId, t: Tuple, accept: Callable[[Tuple], bool]
 ) -> Optional[tuple[RuleParams, list[Tuple]]]:
-    return next(enumerate_instances(rule, t, accept), None)
+    """The first instance `enumerate_instances(rule, t, accept)` yields, or
+    None.  `accept` must reject every tuple that is not good: the master
+    family then skips, in each (ell', m') cell, the d' below the least one
+    whose first subgoal can be good."""
+    spec = _RULES[rule]
+    if spec.candidates is None:
+        return _bare_instance(spec, t, accept)
+    for values, goals in (spec.first_candidates or spec.candidates)(t):
+        p = _kept(rule, spec, t, values, goals, accept)
+        if p is not None:
+            return p, goals
+    return None

@@ -200,6 +200,26 @@ def test_verify_unreadable_certificate(runner, tmp_path):
     assert run(runner, "verify", tmp_path / "absent.json").exit_code == 1
 
 
+def test_readers_refuse_a_top_level_array_and_name_a_missing_key(runner, tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    res = run(runner, "certify", 13, 2, 6, 1, 0, "--axioms", listed)
+    assert res.exit_code == 1 and "axioms file: expected a JSON object" in res.output
+    res = run(runner, "verify", listed)
+    assert res.exit_code == 1 and "certificate file: expected a JSON object" in res.output
+    cert = tmp_path / "c.json"
+    assert run(runner, "certify", 13, 2, 6, 1, 0, "--json", cert).exit_code == 0
+    doc = json.loads(cert.read_text())
+    del doc["nodes"]
+    cert.write_text(json.dumps(doc))
+    res = run(runner, "verify", cert)
+    assert res.exit_code == 1 and "certificate file: missing key 'nodes'" in res.output
+    ax = tmp_path / "ax.json"
+    ax.write_text(json.dumps({"axioms": [{"citation": "assumed"}]}))
+    res = run(runner, "certify", 13, 2, 6, 1, 0, "--axioms", ax)
+    assert res.exit_code == 1 and "axioms file: missing key 'tuple'" in res.output
+
+
 def test_erasable_command(runner):
     res = run(runner, "erasable", "--r", 3, "--s", "1,0", "--s", "2,1=2")
     assert res.exit_code == 0 and "erasable" in res.output

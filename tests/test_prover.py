@@ -20,6 +20,7 @@ from bninterp import (
     certify,
     enumerate_sporadic,
     find_reduction,
+    first_instance,
     is_good,
     rho,
     run_sporadic_search,
@@ -255,6 +256,20 @@ def test_section8_rules_exclude_the_degeneration_moves():
     assert RuleId.MASTER_ERASABLE not in SECTION8_RULES
     assert RuleId.DELTA_1_STEP not in SECTION8_RULES
     assert len(SECTION8_RULES) == len(RuleId) - 2
+
+
+def test_sweep_tuples_cannot_fire_the_rules_the_sweeps_leave_out():
+    # peel-onion needs g >= r; delta-1-step needs the delta = 1, ell = m = 0
+    # locus, 2d + 2g = 3r - 1
+    box = [
+        t for r in (14, 15, 16) for t, in_box in prover._grid(r) if in_box and prover._in_sweep(t)
+    ]
+    for t in enumerate_sporadic(13) + box:
+        assert t.g < t.r, t
+        assert not (t.ell == 0 and t.m == 0 and 2 * t.d + 2 * t.g == 3 * t.r - 1), t
+        for rule in (RuleId.PEEL_ONION, RuleId.DELTA_1_STEP):
+            assert first_instance(rule, t, lambda s: True) is None, (t, rule)
+    assert len(box) > 75_000
 
 
 def test_thm14_first_rank_is_covered():

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bninterp import (
     RULE_ORDER,
@@ -18,10 +20,13 @@ from bninterp import (
     delta,
     delta_numerator,
     enumerate_instances,
+    enumerate_sporadic,
+    first_instance,
     is_good,
     measure,
     rho,
 )
+from bninterp.prover import _grid
 
 
 def _good(s):
@@ -487,3 +492,63 @@ def test_enumerators_match_a_brute_force_through_apply():
             assert list(enumerate_instances(rule, t, _good)) == want_good, (tuple(t), rule)
             checked += len(want)
     assert checked > 10_000
+
+
+# ---------------------------------------------------------------------------
+# first_instance against the first instance enumerate_instances yields
+
+
+def _first_matches_enumeration(rule, t):
+    """first_instance under goodness equals the enumeration's first hit.
+    For the master family, also every candidate that first_instance offers
+    meets the two clauses its least-d' start reads off the first subgoal
+    (d'-1, g, r-1, ell-bar, m-bar): 2 ell-bar <= r-1 and m-bar <= rho."""
+    offered = []
+
+    def good(s):
+        offered.append(s)
+        return _good(s)
+
+    got = first_instance(rule, t, good)
+    assert got == next(enumerate_instances(rule, t, _good), None), (tuple(t), rule)
+    if rule in (RuleId.MASTER, RuleId.MASTER_111):
+        # the subgoals at rank r-1 share 2 ell-bar with the first, and their
+        # m is m-bar or m-bar - 1
+        for s in offered:
+            if s.r == t.r - 1:
+                assert 2 * s.ell <= s.r and s.m <= rho(s.d, s.g, s.r), (tuple(t), rule, tuple(s))
+
+
+def test_first_instance_matches_enumeration_on_the_shell_and_the_sporadic_sweep():
+    # every rule on the shell up to r = 10, which holds the sporadic tuples
+    # of those ranks, and on the sporadic tuples above it; master-erasable's
+    # enumeration is only affordable to r = 5
+    def compare(t):
+        for rule in RULE_ORDER:
+            if rule is RuleId.MASTER_ERASABLE and t.r > 5:
+                continue
+            _first_matches_enumeration(rule, t)
+
+    shell = [t for r in range(3, 11) for t, _in_box in _grid(r)]
+    for t in shell:
+        compare(t)
+    for t in enumerate_sporadic(13):
+        if t.r > 10:
+            compare(t)
+    assert len(shell) > 30_000
+
+
+@st.composite
+def _shell_tuples(draw):
+    r = draw(st.integers(3, 60))
+    g = draw(st.integers(0, r + 1))
+    d = draw(st.integers(g + r, g + 2 * r + 2))
+    ell = draw(st.integers(0, r // 2))
+    m = draw(st.integers(0, max(0, min(rho(d, g, r), r + 1))))
+    return Tuple(d, g, r, ell, m)
+
+
+@settings(deadline=None, max_examples=300)
+@given(t=_shell_tuples(), rule=st.sampled_from([RuleId.MASTER, RuleId.MASTER_111]))
+def test_master_family_first_instance_matches_enumeration_up_to_r_60(t, rule):
+    _first_matches_enumeration(rule, t)
