@@ -9,6 +9,8 @@ layer producing independently re-checkable certificates (`prover`).
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     COR_MAIN_EXCEPTIONS,
     COUNTEREXAMPLE_TRIPLES,
@@ -72,69 +74,8 @@ from .rules import (
     first_instance,
 )
 
-__all__ = [
-    "__version__",
-    # core
-    "Tuple",
-    "DomainError",
-    "InvariantViolated",
-    "GoodnessVerdict",
-    "InterpolationVerdict",
-    "PointCountAnswer",
-    "rho",
-    "delta",
-    "delta_numerator",
-    "reduced_residue",
-    "is_good",
-    "measure",
-    "bn_interpolation",
-    "max_points",
-    "splitting_type_interpolation",
-    "constants_as_json",
-    "XEX",
-    "COUNTEREXAMPLE_TRIPLES",
-    "COR_MAIN_EXCEPTIONS",
-    "SPORADIC30",
-    # intfeas
-    "Bound",
-    "BoundSystem",
-    "system",
-    "integer_in_interval",
-    "eliminate_sufficient",
-    # erase
-    "STRONG",
-    "WEAK",
-    "ModType",
-    "AccState",
-    "CalculusError",
-    "TooLarge",
-    "normalize",
-    "combine",
-    "is_erasable",
-    "brute_force_erasable",
-    "erasable_under_all_orders",
-    "make_collection",
-    # rules
-    "RuleId",
-    "RuleParams",
-    "RULE_ORDER",
-    "PreconditionViolated",
-    "apply",
-    "enumerate_instances",
-    "first_instance",
-    # prover
-    "AxiomSet",
-    "Axiom",
-    "RuleApp",
-    "Certificate",
-    "VerifyResult",
-    "Irreducible",
-    "certify",
-    "verify_certificate",
-    "enumerate_sporadic",
-    "find_reduction",
-    "run_sporadic_search",
-    "verify_thm14",
-    "SporadicReport",
-    "Thm14Report",
+# the import blocks above are the one list of public names; the submodules
+# they bind as attributes of the package are not exports
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items()) if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -3,7 +3,7 @@
 Exit codes follow one convention across subcommands:
   0  the requested property holds / output produced and matches
   1  input error (usage error, malformed arguments, empty sweep range,
-     no curve exists, unreadable file)
+     no curve exists, unreadable or unwritable file)
   2  the property fails for a mathematical reason (exception, not good,
      not erasable)
   3  a verification or comparison found violations
@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 from collections import Counter
+from contextlib import contextmanager
 
 import click
 
@@ -59,6 +60,23 @@ _FORMAT = click.option(
 def _fail_input(msg: str) -> None:
     click.echo(f"error: {msg}", err=True)
     sys.exit(1)
+
+
+def _emit(fmt: str, doc: dict, text: str, code: int) -> None:
+    """Print the report as one JSON document on one line, or as plain text,
+    then exit with `code`."""
+    click.echo(json.dumps(doc) if fmt == "json" else text)
+    sys.exit(code)
+
+
+@contextmanager
+def _file_errors(what: str):
+    """Report a file that cannot be read, parsed or written as an input
+    error naming its role (`axioms file: ...`) instead of a traceback."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        _fail_input(f"{what} file: {e}")
 
 
 def _parse_workers(_ctx, _param, value):
@@ -121,25 +139,12 @@ def check(d, g, r, char, fmt):
         verdict = bn_interpolation(d, g, r, char=char)
     except DomainError as e:
         _fail_input(str(e))
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "d": d,
-                    "g": g,
-                    "r": r,
-                    "char": char,
-                    "holds": verdict.holds,
-                    "reason": verdict.reason,
-                }
-            )
-        )
-    else:
-        if verdict.holds:
-            click.echo("holds")
-        else:
-            click.echo(f"exception: ({d},{g},{r}) {verdict.reason}")
-    sys.exit(0 if verdict.holds else 2)
+    _emit(
+        fmt,
+        {"d": d, "g": g, "r": r, "char": char, "holds": verdict.holds, "reason": verdict.reason},
+        "holds" if verdict.holds else f"exception: ({d},{g},{r}) {verdict.reason}",
+        0 if verdict.holds else 2,
+    )
 
 
 @main.command()
@@ -153,11 +158,12 @@ def good(d, g, r, ell, m, fmt):
     """Report whether a tuple passes the goodness test (exit 0) and name
     every failed clause otherwise (exit 2)."""
     v = is_good(Tuple(d, g, r, ell, m))
-    if fmt == "json":
-        click.echo(json.dumps({"tuple": [d, g, r, ell, m], "good": v.is_good, "failures": list(v.failures)}))
-    else:
-        click.echo("good" if v.is_good else "not good: " + ", ".join(v.failures))
-    sys.exit(0 if v.is_good else 2)
+    _emit(
+        fmt,
+        {"tuple": [d, g, r, ell, m], "good": v.is_good, "failures": list(v.failures)},
+        "good" if v.is_good else "not good: " + ", ".join(v.failures),
+        0 if v.is_good else 2,
+    )
 
 
 @main.command(name="delta")
@@ -173,10 +179,7 @@ def delta_cmd(d, g, r, ell, m, fmt):
         value = delta(Tuple(d, g, r, ell, m))
     except DomainError as e:
         _fail_input(str(e))
-    if fmt == "json":
-        click.echo(json.dumps({"tuple": [d, g, r, ell, m], "delta": [value.numerator, value.denominator]}))
-    else:
-        click.echo(str(value))
+    _emit(fmt, {"tuple": [d, g, r, ell, m], "delta": [value.numerator, value.denominator]}, str(value), 0)
 
 
 @main.command(name="max-points")
@@ -192,25 +195,12 @@ def max_points_cmd(d, g, r, fmt):
         ans = max_points(d, g, r)
     except DomainError as e:
         _fail_input(str(e))
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "d": d,
-                    "g": g,
-                    "r": r,
-                    "predicted": ans.predicted_n,
-                    "exception": ans.is_exception,
-                    "upper_bound": ans.exception_upper_bound,
-                }
-            )
-        )
-    else:
-        if ans.is_exception:
-            click.echo(f"predicted {ans.predicted_n}; exception, upper bound {ans.exception_upper_bound}")
-        else:
-            click.echo(f"predicted {ans.predicted_n}")
-    sys.exit(2 if ans.is_exception else 0)
+    text = f"predicted {ans.predicted_n}"
+    if ans.is_exception:
+        text += f"; exception, upper bound {ans.exception_upper_bound}"
+    doc = {"d": d, "g": g, "r": r, "predicted": ans.predicted_n}
+    doc.update(exception=ans.is_exception, upper_bound=ans.exception_upper_bound)
+    _emit(fmt, doc, text, 2 if ans.is_exception else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,61 +237,41 @@ def sporadic(rmax, disabled, workers, csv_path, expected, fmt):
         _fail_input(f"rmax {rmax} leaves no rank to sweep (the sweep starts at r = 3)")
     report = run_sporadic_search(r_max=rmax, disabled=disabled, workers=workers)
     if expected is not None:
-        try:
-            with open(expected, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            want = {_tuple_from_json(row) for row in doc["sporadic30"]}
-        except (OSError, ValueError, KeyError, TypeError) as e:
-            _fail_input(f"expected file: {e}")
+        with _file_errors("expected"), open(expected, "r", encoding="utf-8") as fh:
+            want = {_tuple_from_json(row) for row in json.load(fh)["sporadic30"]}
     else:
         want = set(SPORADIC30)
     want = {t for t in want if t.r <= rmax}
     got = set(report.irreducible)
 
     if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        rows = [
+            [*t, status, rule.value if rule else "", json.dumps(params.to_json()) if params else ""]
+            for t, status, rule, params in report.rows()
+        ]
+        with _file_errors("csv"), open(csv_path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["d", "g", "r", "ell", "m", "status", "rule", "params"])
-            for t, status, rule, params in report.rows():
-                w.writerow(
-                    [
-                        t.d,
-                        t.g,
-                        t.r,
-                        t.ell,
-                        t.m,
-                        status,
-                        rule.value if rule else "",
-                        json.dumps(params.to_json()) if params else "",
-                    ]
-                )
+            w.writerows(rows)
 
     missing = sorted(want - got, key=sweep_order)
     extra = sorted(got - want, key=sweep_order)
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "rmax": rmax,
-                    "examined": report.examined,
-                    "reducible": report.reducible,
-                    "irreducible": [list(t) for t in report.irreducible],
-                    "missing": [list(t) for t in missing],
-                    "unexpected": [list(t) for t in extra],
-                },
-                indent=1,
-            )
-        )
-    else:
-        click.echo(f"examined {report.examined} tuples up to r = {rmax}")
-        click.echo(f"reducible {report.reducible}, irreducible {len(report.irreducible)}:")
-        for t in report.irreducible:
-            click.echo(f"  (d={t.d}, g={t.g}, r={t.r}, ell={t.ell}, m={t.m})")
-        for t in missing:
-            click.echo(f"MISSING (expected but reduced): {tuple(t)}")
-        for t in extra:
-            click.echo(f"UNEXPECTED (found irreducible): {tuple(t)}")
-    sys.exit(0 if not missing and not extra else 3)
+    doc = {
+        "rmax": rmax,
+        "examined": report.examined,
+        "reducible": report.reducible,
+        "irreducible": [list(t) for t in report.irreducible],
+        "missing": [list(t) for t in missing],
+        "unexpected": [list(t) for t in extra],
+    }
+    lines = [
+        f"examined {report.examined} tuples up to r = {rmax}",
+        f"reducible {report.reducible}, irreducible {len(report.irreducible)}:",
+        *(f"  (d={t.d}, g={t.g}, r={t.r}, ell={t.ell}, m={t.m})" for t in report.irreducible),
+        *(f"MISSING (expected but reduced): {tuple(t)}" for t in missing),
+        *(f"UNEXPECTED (found irreducible): {tuple(t)}" for t in extra),
+    ]
+    _emit(fmt, doc, "\n".join(lines), 0 if not missing and not extra else 3)
 
 
 @main.command()
@@ -319,31 +289,20 @@ def thm14(rmax, rmin, workers, fmt):
         _fail_input(f"empty rank range: rmax {rmax} is below rmin {rmin}")
     report = verify_thm14(r_max=rmax, r_min=rmin, workers=workers)
     bad = report.uncovered + report.outside_uncovered
-    if fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "rmin": report.r_min,
-                    "rmax": report.r_max,
-                    "examined": report.examined,
-                    "outside_checked": report.outside_checked,
-                    "uncovered": [list(t) for t in report.uncovered],
-                    "outside_uncovered": [list(t) for t in report.outside_uncovered],
-                },
-                indent=1,
-            )
-        )
-    else:
-        click.echo(
-            f"examined {report.examined} box tuples and {report.outside_checked} shell tuples, "
-            f"r in [{report.r_min}, {report.r_max}]"
-        )
-        if bad:
-            for t in bad:
-                click.echo(f"UNCOVERED: {tuple(t)}")
-        else:
-            click.echo("all covered")
-    sys.exit(3 if bad else 0)
+    doc = {
+        "rmin": report.r_min,
+        "rmax": report.r_max,
+        "examined": report.examined,
+        "outside_checked": report.outside_checked,
+        "uncovered": [list(t) for t in report.uncovered],
+        "outside_uncovered": [list(t) for t in report.outside_uncovered],
+    }
+    lines = [
+        f"examined {report.examined} box tuples and {report.outside_checked} shell tuples, "
+        f"r in [{report.r_min}, {report.r_max}]",
+        *([f"UNCOVERED: {tuple(t)}" for t in bad] or ["all covered"]),
+    ]
+    _emit(fmt, doc, "\n".join(lines), 3 if bad else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +311,8 @@ def thm14(rmax, rmin, workers, fmt):
 def _load_axioms(path) -> AxiomSet:
     if path is None:
         return AxiomSet()
-    try:
+    with _file_errors("axioms"):
         return AxiomSet.load(path)
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        _fail_input(f"axioms file: {e}")
 
 
 @main.command(name="certify")
@@ -385,7 +342,8 @@ def certify_cmd(d, g, r, ell, m, json_path, axioms_path):
         click.echo(f"internal error: fresh certificate fails verification: {res.code} {res.detail}", err=True)
         sys.exit(3)
     if json_path is not None:
-        cert.dump(json_path)
+        with _file_errors("certificate"):
+            cert.dump(json_path)
         click.echo(f"certificate with {len(cert.nodes)} nodes written to {json_path}")
     else:
         click.echo(json.dumps(cert.to_json(), indent=1))
@@ -399,10 +357,8 @@ def verify_cmd(certificate, axioms_path):
     """Re-check a certificate file independently of the search that built
     it.  Exit 0 when sound, 3 when any node fails."""
     ax = _load_axioms(axioms_path)
-    try:
+    with _file_errors("certificate"):
         cert = Certificate.read(certificate)
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        _fail_input(f"certificate file: {e}")
     res = verify_certificate(cert, axioms=ax)
     if res:
         rules_used = sorted({j.rule.value for j in cert.nodes.values() if isinstance(j, RuleApp)})
@@ -415,15 +371,20 @@ def verify_cmd(certificate, axioms_path):
 # ---------------------------------------------------------------------------
 
 
-def _parse_mods(values, strength):
+def _parse_mods(strong, weak):
+    # one Counter updated in place: `Counter.__add__` would drop every
+    # entry whose count is not positive
     out = Counter()
-    for item in values:
-        left, eq, right = item.partition("=")
-        count = int(right) if eq else 1
-        i_str, sep, j_str = left.partition(",")
-        if not sep:
-            raise ValueError(f"expected i,j[=count], got {item!r}")
-        out[ModType(int(i_str), int(j_str), strength)] += count
+    for strength, values in ((STRONG, strong), (WEAK, weak)):
+        for item in values:
+            left, eq, right = item.partition("=")
+            count = int(right) if eq else 1
+            i_str, sep, j_str = left.partition(",")
+            if not sep:
+                raise ValueError(f"expected i,j[=count], got {item!r}")
+            if count < 0:
+                raise ValueError(f"negative count in {item!r}")
+            out[ModType(int(i_str), int(j_str), strength)] += count
     return out
 
 
@@ -437,21 +398,15 @@ def erasable(r, strong, weak, fmt):
     in some order, into a state with no second twist and full strength.
     Exit 0 with a witness order, or 2 if no order works."""
     try:
-        coll = _parse_mods(strong, STRONG) + _parse_mods(weak, WEAK)
+        coll = _parse_mods(strong, weak)
     except ValueError as e:
         _fail_input(str(e))
     try:
         ok, witness = is_erasable(coll, r)
     except CalculusError as e:
         _fail_input(str(e))
-    if fmt == "json":
-        click.echo(json.dumps({"r": r, "erasable": ok, "witness": witness}))
-    else:
-        if ok:
-            click.echo("erasable: " + (" -> ".join(witness) if witness else "(empty)"))
-        else:
-            click.echo("not erasable")
-    sys.exit(0 if ok else 2)
+    text = ("erasable: " + (" -> ".join(witness) if witness else "(empty)")) if ok else "not erasable"
+    _emit(fmt, {"r": r, "erasable": ok, "witness": witness}, text, 0 if ok else 2)
 
 
 @main.command(name="dump-constants")
@@ -459,7 +414,7 @@ def erasable(r, strong, weak, fmt):
 def dump_constants(out):
     """Write the built-in tables (bad-residue list, interpolation
     counterexamples, point-count exceptions, sporadic table) to JSON."""
-    with open(out, "w", encoding="utf-8") as fh:
+    with _file_errors("constants"), open(out, "w", encoding="utf-8") as fh:
         fh.write(constants_as_json())
         fh.write("\n")
     click.echo(f"constants written to {out}")

@@ -232,6 +232,58 @@ def test_erasable_command(runner):
     assert doc["erasable"] is False and res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "mods, message",
+    [
+        (["--s", "1,0=-2"], "negative count in '1,0=-2'"),
+        (["--s", "1,0=3", "--s", "1,0=-3"], "negative count in '1,0=-3'"),
+        (["--s", "1,0", "--w", "1,0=-1"], "negative count in '1,0=-1'"),
+        (["--s", "5,0=0"], "out of range"),
+    ],
+    ids=["negative", "cancelling", "negative-weak", "zero-out-of-range"],
+)
+def test_erasable_count_errors_are_input_errors(runner, mods, message):
+    # a count that is not positive must not vanish from the collection
+    res = run(runner, "erasable", "--r", 3, *mods)
+    assert res.exit_code == 1 and message in res.output
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (["sporadic", "--rmax", 3, "--csv"], "csv file:"),
+        (["certify", 13, 2, 6, 1, 0, "--json"], "certificate file:"),
+        (["dump-constants", "--out"], "constants file:"),
+    ],
+    ids=["csv", "certificate", "constants"],
+)
+def test_unwritable_output_file_is_an_input_error(runner, tmp_path, args, what):
+    res = run(runner, *args, tmp_path / "absent" / "out")
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output and f"error: {what}" in res.output
+
+
+@pytest.mark.parametrize(
+    "args, keys",
+    [
+        (["check", 6, 4, 3], {"d", "g", "r", "char", "holds", "reason"}),
+        (["good", 4, 1, 3, 1, 0], {"tuple", "good", "failures"}),
+        (["delta", 8, 1, 7, 1, 1], {"tuple", "delta"}),
+        (["max-points", 10, 6, 5], {"d", "g", "r", "predicted", "exception", "upper_bound"}),
+        (["sporadic", "--rmax", 3], {"rmax", "examined", "reducible", "irreducible", "missing", "unexpected"}),
+        (["thm14", "--rmax", 14], {"rmin", "rmax", "examined", "outside_checked", "uncovered", "outside_uncovered"}),
+        (["erasable", "--r", 3, "--s", "1,0", "--s", "2,1=2"], {"r", "erasable", "witness"}),
+    ],
+    ids=["check", "good", "delta", "max-points", "sporadic", "thm14", "erasable"],
+)
+def test_json_report_is_one_line_with_the_documented_keys(runner, args, keys):
+    plain = run(runner, *args)
+    res = run(runner, *args, "--format", "json")
+    assert res.exit_code == plain.exit_code
+    assert res.output.count("\n") == 1
+    assert set(json.loads(res.output)) == keys
+
+
 def test_version_flag(runner):
     res = run(runner, "--version")
     assert res.exit_code == 0 and "0.1.0" in res.output

@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import bninterp
 
@@ -19,3 +20,19 @@ def test_no_logic_sits_in_an_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_has_one_output_path():
+    # every --format json report goes through one emitter
+    assert (Path(bninterp.__file__).parent / "cli.py").read_text(encoding="utf-8").count('fmt == "json"') == 1
+
+
+def test_all_names_each_public_export():
+    names = bninterp.__all__
+    assert len(set(names)) == len(names)
+    assert not [n for n in names if n.startswith("_") and not n.startswith("__")]
+    assert not [n for n in names if isinstance(getattr(bninterp, n), ModuleType)]
+    ns = {}
+    exec("from bninterp import *", ns)
+    del ns["__builtins__"]
+    assert set(ns) == set(names)
