@@ -69,6 +69,10 @@ class GoodnessVerdict:
     failures: tuple[str, ...] = ()
 
 
+# the one verdict every good tuple gets; verdicts are immutable
+_GOOD = GoodnessVerdict(True)
+
+
 @dataclass(frozen=True)
 class InterpolationVerdict:
     holds: bool
@@ -221,7 +225,7 @@ def is_good(t: Tuple) -> GoodnessVerdict:
         failures.append(RATIONAL_RESIDUE)
     if t in XEX:
         failures.append(IN_XEX_LIST)
-    return GoodnessVerdict(not failures, tuple(failures))
+    return GoodnessVerdict(False, tuple(failures)) if failures else _GOOD
 
 
 def _is_prime(n: int) -> bool:

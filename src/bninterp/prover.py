@@ -210,8 +210,9 @@ class Certificate:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Certificate":
-        if _json_object(doc).get("version") != 1:
-            raise ValueError(f"unsupported certificate version {doc.get('version')!r}")
+        version = _json_object(doc).get("version")
+        if type(version) is not int or version != 1:  # true and 1.0 equal 1
+            raise ValueError(f"unsupported certificate version {version!r}")
         nodes = {}
         for row in _field(doc, "nodes"):
             t = _tuple_from_json(_field(row, "tuple"))

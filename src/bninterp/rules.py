@@ -37,15 +37,16 @@ First-instance contract.  `first_instance(rule, t, accept)` returns, in
 one plain call, what `enumerate_instances` would yield first, provided
 `accept` rejects every tuple that is not good.  The master family then
 starts each (ell', m') cell at the least d' whose first subgoal meets
-2 ell-bar <= r-1 and m-bar <= rho (see `_master_family_candidates`).  The
-sweeps skip peel-onion (it needs g >= r, which no sweep tuple has), and the
-sporadic sweep skips delta-1-step (it needs the delta = 1, ell = m = 0
-locus, which the sweep excludes); `certify` tries every rule.
+2 ell-bar <= r-1 and m-bar <= rho, and bounds m' in each ell' row in
+closed form to skip cells whose d' run is provably empty (see
+`_master_family_candidates`).  The sweeps skip peel-onion (it needs
+g >= r, which no sweep tuple has), and the sporadic sweep skips
+delta-1-step (it needs the delta = 1, ell = m = 0 locus, which the sweep
+excludes); `certify` tries every rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -76,6 +77,10 @@ class RuleId(Enum):
     MASTER_ERASABLE = "master-erasable"
     DELTA_1_STEP = "delta-1-step"
 
+    # members are singletons, so identity is equality; Enum's own hash
+    # goes through a Python-level method on every dict lookup
+    __hash__ = object.__hash__
+
 
 # search order: cheapest guards first; affects only reported witnesses
 RULE_ORDER = (
@@ -94,10 +99,9 @@ RULE_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class RuleParams:
+class RuleParams(NamedTuple):
     """Integer parameters of a rule instance; only the fields the rule
-    reads are set."""
+    reads are set.  Immutable: `_replace` gives a changed copy."""
 
     ell_prime: Optional[int] = None
     m_prime: Optional[int] = None
@@ -113,13 +117,12 @@ class RuleParams:
 
     def to_json(self) -> dict:
         doc = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "any_ni_is_2":
+        for name, v in zip(self._fields, self):
+            if name == "any_ni_is_2":
                 if self.sum_n is not None:
-                    doc[f.name] = v
+                    doc[name] = v
             elif v is not None:
-                doc[f.name] = v
+                doc[name] = v
         return doc
 
     @classmethod
@@ -459,7 +462,11 @@ def _goals_delta_1_step(t: Tuple, p: RuleParams) -> list[Tuple]:
 
 # ---------------------------------------------------------------------------
 # candidate enumerators: each yields (parameter values, subgoals) for the
-# parameter choices that meet the rule's guard, in canonical order
+# parameter choices that meet the rule's guard, in canonical order; a rule
+# with at most one candidate returns a tuple of zero or one of them instead
+# of starting a generator
+
+_OneShot = tuple[tuple[tuple, list[Tuple]], ...]
 
 
 def _master_family_candidates(
@@ -490,9 +497,28 @@ def _master_family_candidates(
     odd = r % 2 == 1
     n_lo = 2 if odd else 3  # least height: even heights from 2, odd from 3
     elliptic = g == 1  # height 2 is forbidden at d' = r + 1
-    for lp in range(0, min(ell, cap) + 1):
+    # With `least_good`, cells whose d' run is provably empty are skipped in
+    # closed form.  Both centres lie in {x0, x0 + 1} and m'k - c is even, so
+    # every cell has (m'k - c)//2 = (m'k - c0)//2 with c0 = x0 - offset -
+    # ell' - 2d.  It has hi <= (m'k - c0)//2 and lo >= floor, the greater
+    # of dp_lo and the rho clause's floor at the least m-bar: so hi < lo for
+    # m' < mp_lo.  Also lo >= a - k//2 = ell - ell' - k//2 + (m'k - c0)//2,
+    # which is over hi in every cell of a row with ell - ell' > k//2, and
+    # over d for m' > mp_hi.
+    lp_lo = 0
+    if least_good:
+        x0 = -((k - 1 - n) // k)
+        floor = max(dp_lo, 1 - (-(m - m_top + k * (g + r)) // r))
+        lp_lo = max(0, ell - k // 2)
+        lo_num = 2 * floor + x0 - offset - 2 * d  # mp_lo = ceil((lo_num - ell') / k)
+        hi_num = x0 + 1 - offset - 2 * ell + 2 * (k // 2)  # mp_hi = (ell' + hi_num) // k
+    for lp in range(lp_lo, min(ell, cap) + 1):
         # at r = 3, cap <= 1 already forces m' = 0
-        for mp in range(0, min(m_top, (cap - lp) // 2) + 1):
+        mp_lo, mp_hi = 0, min(m_top, (cap - lp) // 2)
+        if least_good:
+            mp_lo = max(0, -((lp - lo_num) // k))
+            mp_hi = min(mp_hi, (lp + hi_num) // k)
+        for mp in range(mp_lo, mp_hi + 1):
             x = centres[(offset + lp + mp * k) % 2]
             if x is None:
                 continue
@@ -578,40 +604,42 @@ def _master_erasable_params(lp, mp, mpp, dp, gp, ein, eout, sn, any2) -> RulePar
     )
 
 
-def _two_proj_candidates(t: Tuple) -> Iterator[tuple[tuple, list[Tuple]]]:
+def _two_proj_candidates(t: Tuple) -> _OneShot:
     """The one eps whose odd centre 2 eps + 1 lies in the window."""
     d, g, r, ell, m = t
     if r < 3 or ell != 0 or m != 1:
-        return
+        return ()
     x = _window_centre(delta_numerator(t), r - 1, r - 3, 1)
     if x is None:
-        return
+        return ()
     eps = (x - 1) // 2
     room = d - g - r
     if eps >= 0 and (2 * eps < room if g == 0 else 2 * eps <= room):
-        yield (eps,), _two_proj_goals(t, eps)
+        return (((eps,), _two_proj_goals(t, eps)),)
+    return ()
 
 
-def _m0_delta_35_candidates(t: Tuple) -> Iterator[tuple[tuple, list[Tuple]]]:
+def _m0_delta_35_candidates(t: Tuple) -> _OneShot:
     """The one eps whose odd centre 2 eps + 3 lies in the window."""
     d, g, r, ell, m = t
     if m != 0 or g < 3 or r < 6:
-        return
+        return ()
     x = _window_centre(delta_numerator(t), r - 1, r - 4, 1)
     if x is None:
-        return
+        return ()
     eps = (x - 3) // 2
     if 0 <= eps and 3 * eps <= d - g - r:
-        yield (eps,), _m0_delta_35_goals(t, eps)
+        return (((eps,), _m0_delta_35_goals(t, eps)),)
+    return ()
 
 
-def _delta_5_candidates(t: Tuple) -> Iterator[tuple[tuple, list[Tuple]]]:
+def _delta_5_candidates(t: Tuple) -> _OneShot:
     """k = (r-1)/2, when t has the shape (4k+1, 2k-1, 2k+1, 0, 1), k >= 3."""
     d, g, r, ell, m = t
     if r % 2 == 0 or r < 7 or ell != 0 or m != 1 or d != 2 * r - 1 or g != r - 2:
-        return
+        return ()
     k = (r - 1) // 2
-    yield (k,), _delta_5_goals(k)
+    return (((k,), _delta_5_goals(k)),)
 
 
 class _Rule(NamedTuple):

@@ -320,6 +320,8 @@ def test_certificate_json_schema_takes_integers_only():
         (["nodes", m, "justification", "children", 0, 4], False),  # bool entry
         (["nodes", m, "justification", "params", "ell_prime"], 2.0),  # float param
         (["nodes", m, "justification", "params", "any_ni_is_2"], 0),  # int flag
+        (["version"], True),  # bool version
+        (["version"], 1.0),  # float version
     ]:
         with pytest.raises(ValueError):
             Certificate.from_json(edited(path, value))

@@ -3,6 +3,8 @@ independent re-derivation, enumeration/apply drift protection, and the
 subgoal feasibility lemma."""
 
 import itertools
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -214,6 +216,31 @@ def test_params_json_round_trip():
                 assert RuleParams.from_json(p.to_json()) == p
                 seen += 1
     assert seen > 50
+
+
+def test_params_bytes_and_value_semantics_are_pinned():
+    # certificate and --csv bytes come from to_json: key order and the
+    # any_ni_is_2 rule must not depend on how RuleParams is implemented
+    pinned = [
+        (RuleId.MASTER, (9, 0, 7, 1, 3),
+         '{"ell_prime": 1, "m_prime": 1, "d_prime": 8, "sum_n": 2, "any_ni_is_2": true}'),
+        (RuleId.MASTER_111, (22, 7, 14, 0, 11),
+         '{"ell_prime": 0, "m_prime": 2, "d_prime": 21, "sum_n": 12, "any_ni_is_2": false}'),
+        (RuleId.MASTER_ERASABLE, (7, 1, 6, 2, 1),
+         '{"ell_prime": 0, "m_prime": 1, "m_dprime": 0, "d_prime": 7, "g_prime": 1, '
+         '"eps_in": 0, "eps_out": 0, "sum_n": 3, "any_ni_is_2": false}'),
+        (RuleId.TWO_PROJ, (8, 0, 5, 0, 1), '{"eps": 1}'),
+        (RuleId.DELTA_5, (13, 5, 7, 0, 1), '{"k": 3}'),
+    ]
+    for rule, t, want in pinned:
+        p, _goals = next(enumerate_instances(rule, Tuple(*t)))
+        assert json.dumps(p.to_json()) == want, rule
+        assert hash(p) == hash(RuleParams.from_json(json.loads(want)))
+        with pytest.raises(AttributeError):
+            p.sum_n = 0
+    assert json.dumps(RuleParams().to_json()) == "{}"
+    for rule in RuleId:
+        assert pickle.loads(pickle.dumps(rule)) is rule
 
 
 # ---------------------------------------------------------------------------

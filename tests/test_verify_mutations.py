@@ -99,7 +99,7 @@ def test_moving_an_integer_param_by_one_is_detected(pool, data):
     j = cert.nodes[node]
     key = data.draw(st.sampled_from(_int_params(j)))
     step = data.draw(st.sampled_from((-1, 1)))
-    params = dataclasses.replace(j.params, **{key: getattr(j.params, key) + step})
+    params = j.params._replace(**{key: getattr(j.params, key) + step})
     res = verify_certificate(_replaced(cert, node, dataclasses.replace(j, params=params)))
     assert res.code in ("PreconditionViolated", "ChildMismatch"), (t, node, key, step, res)
 
