@@ -11,11 +11,20 @@ inside the case table and ends with t2 = 0 and a strongly general subspace.
 Rank bookkeeping: each case conserves twist*(r-1) + t1 + t2 (the Euler
 characteristic of the accumulated modification), which is checked after
 every combination step.
+
+The search for an erasable order carries twist-free (t1, t2, strength)
+states, since no case guard and no acceptance test reads the twist.  It
+walks an explicit stack, so the recursion limit never bounds a
+collection's size, memoizes every subproblem in `_MEMO`, and takes each
+step from `_step`, a cache of checked `combine` results.  `combine`,
+`normalize` and the order-walking oracles use neither the cache nor the
+memo.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .core import InvariantViolated
@@ -149,6 +158,8 @@ def make_collection(s10=0, s11=0, s20=0, s21=0, w10=0) -> ModCollection:
 
 
 def _check_types(c: ModCollection, r: int) -> None:
+    if r < 3:
+        raise CalculusError(f"calculus needs r >= 3, got r = {r}")
     for mt, n in c.items():
         if n < 0:
             raise CalculusError(f"negative count for {mt}")
@@ -156,8 +167,9 @@ def _check_types(c: ModCollection, r: int) -> None:
             raise CalculusError(f"type {mt} out of range for r = {r}")
 
 
-def _accepting(state: AccState) -> bool:
-    return state.t2 == 0 and state.strength == STRONG
+def _accepting(state: tuple) -> bool:
+    """An AccState, or a twist-free (t1, t2, strength), that ends an order."""
+    return state[1] == 0 and state[2] == STRONG
 
 
 def _place(state: Optional[AccState], mt: ModType, r: int) -> Optional[AccState]:
@@ -173,47 +185,85 @@ def _remove_one(remaining: tuple, i: int) -> tuple:
     return remaining[:i] + (((mt, n - 1),) if n > 1 else ()) + remaining[i + 1 :]
 
 
+@cache
+def _step(r: int, t1: int, t2: int, strength: str, mt: ModType) -> Optional[tuple]:
+    """The twist-free (t1, t2, strength) after combining `mt` into the state
+    (t1, t2, strength), or None at a dead branch: one checked `combine` per
+    distinct step.  No case guard reads the twist, so it is left out."""
+    nxt = combine(AccState(t1, t2, strength, 0), mt, r)
+    return None if nxt is None else nxt[:3]
+
+
 # memo shared across calls: pure mathematics, never invalidated
 _MEMO: dict = {}
+_OPEN = object()  # a memo miss: the subproblem has to be searched
 
 
-def _erase_search(state: Optional[AccState], remaining: tuple, r: int):
-    """Witness order (tuple of ModTypes) completing `remaining` from `state`,
-    or None; state None means no point is placed yet.  Memoized on the
-    twist-free state and the remaining multiset once a point is placed."""
+def _search_from(state: tuple, remaining: tuple, r: int) -> Optional[tuple]:
+    """Witness order (tuple of ModTypes) completing `remaining` from the
+    twist-free `state`, or None.  Depth-first over an explicit stack, so the
+    collection's size is not bounded by the recursion limit; every opened
+    subproblem is memoized on (r, state, remaining) when it closes."""
+    frames = []  # [memo key, state, remaining, index of the type tried last]
+    while True:
+        # open the subproblem (state, remaining), unless it is answered at once
+        if remaining:
+            key = (r, *state, remaining)
+            tail = _MEMO.get(key, _OPEN)
+            if tail is _OPEN:
+                frames.append([key, state, remaining, -1])
+                tail = None
+        else:
+            tail = () if _accepting(state) else None
+        # hand `tail` down the stack until a frame has another type to try
+        while frames:
+            frame = frames[-1]
+            key, st, rem, i = frame
+            if tail is not None:
+                tail = (rem[i][0],) + tail
+            else:
+                nxt = None
+                for i in range(i + 1, len(rem)):
+                    nxt = _step(r, *st, rem[i][0])
+                    if nxt is not None:
+                        break
+                if nxt is not None:
+                    frame[3] = i
+                    state, remaining = nxt, _remove_one(rem, i)
+                    break
+            _MEMO[key] = tail
+            frames.pop()
+        else:
+            return tail
+
+
+def _erase_search(c: ModCollection, r: int) -> Optional[tuple]:
+    """Witness order (tuple of ModTypes) for the whole collection, or None;
+    the first point placed is only normalized."""
+    _check_types(c, r)
+    remaining = tuple(sorted((mt, n) for mt, n in c.items() if n > 0))
     if not remaining:
-        return () if state is None or _accepting(state) else None
-    if state is not None:
-        key = (r, state.t1, state.t2, state.strength, remaining)
-        hit = _MEMO.get(key, -1)
-        if hit != -1:
-            return hit
-    found = None
+        return ()
     for i, (mt, _) in enumerate(remaining):
-        nxt = _place(state, mt, r)
-        if nxt is None:
-            continue
-        tail = _erase_search(nxt, _remove_one(remaining, i), r)
+        first = normalize(AccState(mt.t1, mt.t2, mt.strength, 0), r)[:3]
+        tail = _search_from(first, _remove_one(remaining, i), r)
         if tail is not None:
-            found = (mt,) + tail
-            break
-    if state is not None:
-        _MEMO[key] = found
-    return found
+            return (mt,) + tail
+    return None
 
 
 def is_erasable(c: ModCollection, r: int) -> tuple[bool, Optional[list[str]]]:
     """Search all specialization orders for one ending with t2 = 0 and a
     strongly general subspace.  Returns (verdict, witness order or None);
     the empty collection is vacuously erasable."""
-    _check_types(c, r)
-    order = _erase_search(None, tuple(sorted((mt, n) for mt, n in c.items() if n > 0)), r)
+    order = _erase_search(c, r)
     return (False, None) if order is None else (True, [type_name(mt) for mt in order])
 
 
 def erasable_fast(c: ModCollection, r: int) -> bool:
-    """Boolean-only entry point (used by the reduction rules)."""
-    return is_erasable(c, r)[0]
+    """Boolean-only entry point (used by the reduction rules): no witness
+    names are built."""
+    return _erase_search(c, r) is not None
 
 
 def _walk_orders(c: ModCollection, r: int, quantifier) -> bool:

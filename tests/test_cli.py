@@ -1,10 +1,16 @@
 """Command-line surface: exit codes, output formats, and file emission."""
 
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bninterp
 from bninterp.cli import main
 
 
@@ -246,6 +252,37 @@ def test_erasable_count_errors_are_input_errors(runner, mods, message):
     # a count that is not positive must not vanish from the collection
     res = run(runner, "erasable", "--r", 3, *mods)
     assert res.exit_code == 1 and message in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--r", 2], ["--r", 0], ["--r", 2, "--s", "1,0"]],
+    ids=["r2-empty", "r0-empty", "r2"],
+)
+def test_erasable_below_r3_is_an_input_error(runner, args):
+    # the calculus needs r >= 3 whatever the collection, the empty one too
+    res = run(runner, "erasable", *args)
+    assert res.exit_code == 1 and "calculus needs r >= 3" in res.output
+
+
+@pytest.mark.parametrize(
+    "args, counts",
+    [
+        (["--r", 3, "--s", "1,0=3000"], {"s1,0": 3000}),
+        (["--r", 5, "--s", "1,0=700", "--s", "2,0=700"], {"s1,0": 700, "s2,0": 700}),
+    ],
+    ids=["one-type", "two-types"],
+)
+def test_erasable_answers_past_the_recursion_limit(args, counts):
+    # a fresh interpreter, so its default recursion limit applies
+    env = {**os.environ, "PYTHONPATH": str(Path(bninterp.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bninterp.cli", "erasable", *map(str, args), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr[-500:]
+    doc = json.loads(proc.stdout)
+    assert doc["erasable"] is True and Counter(doc["witness"]) == counts
 
 
 @pytest.mark.parametrize(

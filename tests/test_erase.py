@@ -2,6 +2,7 @@
 cases, conservation, and the memoized search against its brute-force
 oracle."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -235,3 +236,65 @@ def test_order_walker_matches_a_direct_permutation_replay():
                 some, every = brute_force_erasable(coll, r), erasable_under_all_orders(coll, r)
                 assert (some, every) == _replay_every_order(coll, r), (dict(coll), r)
                 assert some or not every
+
+
+def test_step_cache_equals_the_checked_combine():
+    # every normalized state against every in-range type: the cached step is
+    # the checked combine with the twist dropped
+    strengths = (STRONG, WEAK)
+    for r in range(3, 13):
+        types = [ModType(i, j, s) for i in range(r) for j in range(i + 1) for s in strengths]
+        for t1 in range(r - 1):
+            for t2 in range(t1 + 1):
+                for s in strengths:
+                    for mt in types:
+                        want = combine(AccState(t1, t2, s, 0), mt, r)
+                        want = None if want is None else want[:3]
+                        assert erase._step(r, t1, t2, s, mt) == want, (r, t1, t2, s, mt)
+
+
+def test_oracles_read_neither_the_step_cache_nor_the_memo(monkeypatch):
+    colls = [
+        Counter(combo)
+        for size in range(6)
+        for combo in itertools.combinations_with_replacement(SOURCE_CATALOGUE, size)
+    ]
+    for coll in colls:
+        for r in range(3, 8):
+            is_erasable(coll, r)
+    # every memo entry the search would read now holds the wrong answer
+    poisoned = {key: (None if tail is not None else ()) for key, tail in erase._MEMO.items()}
+    monkeypatch.setattr(erase, "_MEMO", poisoned)
+
+    def no_step(*args):
+        raise RuntimeError("the step cache was read")
+
+    monkeypatch.setattr(erase, "_step", no_step)
+    assert any(is_erasable(coll, r)[0] != brute_force_erasable(coll, r) for coll in colls for r in range(3, 8))
+    for coll in colls:
+        for r in range(3, 8):
+            some, every = brute_force_erasable(coll, r), erasable_under_all_orders(coll, r)
+            assert (some, every) == _replay_every_order(coll, r), (dict(coll), r)
+
+
+def test_witness_orders_are_pinned():
+    # verdicts and witness orders of every catalogue multiset of size <= 8 at
+    # r 3-9, as the recursive search gave them before the step cache and the
+    # explicit stack
+    h = hashlib.sha256()
+    for size in range(9):
+        for combo in itertools.combinations_with_replacement(SOURCE_CATALOGUE, size):
+            coll = Counter(combo)
+            for r in range(3, 10):
+                h.update(repr(is_erasable(coll, r)).encode() + b"\n")
+    assert h.hexdigest() == "78b82011a7909c55a7b3df842cab06870b06115225dfae115d56c293abddfd4b"
+
+
+@pytest.mark.parametrize(
+    "decide", [is_erasable, erasable_fast, brute_force_erasable, erasable_under_all_orders]
+)
+@pytest.mark.parametrize("coll", [Counter(), make_collection(s10=1)], ids=["empty", "s1,0"])
+@pytest.mark.parametrize("r", [2, 0])
+def test_every_entry_point_refuses_r_below_3(decide, coll, r):
+    with pytest.raises(CalculusError, match="calculus needs r >= 3"):
+        decide(coll, r)
