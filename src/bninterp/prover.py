@@ -216,6 +216,8 @@ class Certificate:
         nodes = {}
         for row in _field(doc, "nodes"):
             t = _tuple_from_json(_field(row, "tuple"))
+            if t in nodes:
+                raise ValueError(f"node {list(t)} listed twice")
             jd = _field(row, "justification")
             kind = _field(jd, "kind")
             if kind == "axiom":

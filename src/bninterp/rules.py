@@ -1,8 +1,10 @@
 """Reduction rules: checked implications from one tuple to subgoal tuples.
 
 Each rule has one check, which returns the first violated hypothesis of
-its inductive argument (or None), and a subgoal formula.  `apply` raises
-the violated hypothesis as PreconditionViolated and otherwise returns the
+its inductive argument (or None), a subgoal formula and the RuleParams
+fields it reads; the three rules with twist heights share one hypothesis
+block.  `apply` raises a parameter set other than those fields, or the
+violated hypothesis, as PreconditionViolated and otherwise returns the
 subgoal list; it is the validator `verify_certificate` trusts.  The rule
 layer never decides whether a subgoal "holds" -- acceptance is the caller's.
 
@@ -24,14 +26,14 @@ window margin is below r - 1, so a window admits at most two consecutive
 centres X and only one of them has the parity the parameters force; the
 free parameter (d' for the master family, eps for two-proj and
 m0-delta-35) is then confined to a closed-form interval, and only that
-interval is visited.  For each candidate the subgoals are computed and
-handed to the caller's `accept` first; the rule's check -- the code
-`apply` runs -- runs only on the candidates `accept` kept.  So every
-yielded instance has passed the rule's check, and rejected candidates are
-never validated.  A kept candidate that fails the check would be a defect
-in its enumerator and raises InvariantViolated.  A rule without parameters
-has no candidates to solve for: its check is its guard and runs before
-`accept`.
+interval is visited.  Each candidate is a RuleParams, the one form of a
+rule instance from enumerator to certificate, with its subgoals, which go
+to the caller's `accept` first; the rule's check -- the code `apply` runs
+-- runs only on the candidates `accept` kept.  So every yielded instance
+has passed the rule's check, and rejected candidates are never validated.
+A kept candidate that fails the check would be a defect in its enumerator
+and raises InvariantViolated.  A rule without parameters has no
+candidates to solve for: its check is its guard and runs before `accept`.
 
 First-instance contract.  `first_instance(rule, t, accept)` returns, in
 one plain call, what `enumerate_instances` would yield first, provided
@@ -100,8 +102,8 @@ RULE_ORDER = (
 
 
 class RuleParams(NamedTuple):
-    """Integer parameters of a rule instance; only the fields the rule
-    reads are set.  Immutable: `_replace` gives a changed copy."""
+    """Integer parameters of a rule instance: the fields its rule reads, as
+    `apply` checks.  Immutable: `_replace` gives a changed copy."""
 
     ell_prime: Optional[int] = None
     m_prime: Optional[int] = None
@@ -192,39 +194,47 @@ def _window_centre(n: int, k: int, margin: int, parity: int) -> Optional[int]:
 # the rules: one check and one subgoal formula each
 
 
-def _check_master_family(t: Tuple, p: RuleParams, offset: int, strict: bool) -> Optional[str]:
-    """Master (offset 0) and Master-111 (offset 1, strict forms m' < m and
-    2m' + ell' < r - 2)."""
+def _check_twisted_heights(t: Tuple, p: RuleParams, gp: int) -> Optional[str]:
+    """The hypotheses master, master-111 and master-erasable share, at the
+    subgoal genus g' (g' = g for the master family)."""
     d, g, r, ell, m = t
     lp, mp, dp, sn = p.ell_prime, p.m_prime, p.d_prime, p.sum_n
-    if None in (lp, mp, dp, sn):
-        return "missing parameter"
     if r < 3:
         return "r < 3"
     if not 0 <= lp <= ell:
         return "ell' out of range"
-    if strict:
-        if not 0 <= mp < m:
-            return "m' must be strictly below m"
-    elif not 0 <= mp <= m:
-        return "m' out of range"
     if r == 3 and mp != 0:
         return "m' must be 0 when r = 3"
-    if strict:
-        if 2 * mp + lp >= r - 2:
-            return "2m' + ell' must be strictly below r - 2"
-    elif 2 * mp + lp > r - 2:
-        return "2m' + ell' exceeds r - 2"
-    if not g + r <= dp <= d:
+    if not gp + r <= dp <= d - g + gp:
         return "d' out of range"
-    if g == 0 and m != 0 and dp <= g + r:
-        return "d' must exceed g + r when g = 0 and m > 0"
-    why = _sum_n_violation(mp, sn, r, (dp, g) == (r + 1, 1), p.any_ni_is_2)
+    if gp == 0 and m != 0 and dp <= gp + r:
+        return "d' must exceed g' + r when g' = 0 and m > 0"
+    why = _sum_n_violation(mp, sn, r, (dp, gp) == (r + 1, 1), p.any_ni_is_2)
     if why is not None:
         return why
     if _bar_ell(ell, lp, mp, sn, r) < 0:
         return "ell-bar negative"
-    if _window_missed(t, offset + lp + 2 * (d - dp) + sn, r - 2):
+    return None
+
+
+def _check_master_family(t: Tuple, p: RuleParams, offset: int, strict: bool) -> Optional[str]:
+    """Master (offset 0) and Master-111 (offset 1, strict forms m' < m and
+    2m' + ell' < r - 2)."""
+    why = _check_twisted_heights(t, p, t.g)
+    if why is not None:
+        return why
+    lp, mp, r = p.ell_prime, p.m_prime, t.r
+    if strict:
+        if not 0 <= mp < t.m:
+            return "m' must be strictly below m"
+        if 2 * mp + lp >= r - 2:
+            return "2m' + ell' must be strictly below r - 2"
+    else:
+        if not 0 <= mp <= t.m:
+            return "m' out of range"
+        if 2 * mp + lp > r - 2:
+            return "2m' + ell' exceeds r - 2"
+    if _window_missed(t, offset + lp + 2 * (t.d - p.d_prime) + p.sum_n, r - 2):
         return "delta window missed"
     return None
 
@@ -254,51 +264,32 @@ def _erasable_collection(t: Tuple, lp: int, mp: int, mpp: int, gp: int, eout: in
 
 
 def _check_master_erasable(t: Tuple, p: RuleParams) -> Optional[str]:
-    d, g, r, ell, m = t
-    lp, mp, mpp = p.ell_prime, p.m_prime, p.m_dprime
-    dp, gp, ein, eout, sn = p.d_prime, p.g_prime, p.eps_in, p.eps_out, p.sum_n
-    if None in (lp, mp, mpp, dp, gp, ein, eout, sn):
-        return "missing parameter"
-    if r < 3:
-        return "r < 3"
-    if not 0 <= lp <= ell:
-        return "ell' out of range"
-    if not (mp >= 0 and mpp >= 0 and mp + mpp <= m):
-        return "m' + m'' out of range"
-    if r == 3 and mp != 0:
-        return "m' must be 0 when r = 3"
-    if not 0 <= gp <= g:
-        return "g' out of range"
-    if not gp + r <= dp <= d - g + gp:
-        return "d' out of range"
-    if gp == 0 and m != 0 and dp <= gp + r:
-        return "d' must exceed g' + r when g' = 0 and m > 0"
-    if ein < 0 or eout < 0:
-        return "negative secancy split"
-    if ein + eout != d - g - dp + gp:
-        return "secancy split does not match degree drop"
-    why = _sum_n_violation(mp, sn, r, (dp, gp) == (r + 1, 1), p.any_ni_is_2)
+    why = _check_twisted_heights(t, p, p.g_prime)
     if why is not None:
         return why
-    if _bar_ell(ell, lp, mp, sn, r) < 0:
-        return "ell-bar negative"
+    d, g, r, ell, m = t
+    lp, mp, mpp, gp, ein, eout = p.ell_prime, p.m_prime, p.m_dprime, p.g_prime, p.eps_in, p.eps_out
+    if not (mp >= 0 and mpp >= 0 and mp + mpp <= m):
+        return "m' + m'' out of range"
+    if not 0 <= gp <= g:
+        return "g' out of range"
+    if ein < 0 or eout < 0:
+        return "negative secancy split"
+    if ein + eout != d - g - p.d_prime + gp:
+        return "secancy split does not match degree drop"
     if not erasable_fast(_erasable_collection(t, lp, mp, mpp, gp, eout), r):
         return "collection not erasable"
     w = 2 * eout + 3 * (g - gp) + m + mp + lp
-    x = 2 * ein + (g - gp) + mpp + lp + w // (r - 1) + sn
+    x = 2 * ein + (g - gp) + mpp + lp + w // (r - 1) + p.sum_n
     if _window_missed(t, x, r - 2):
         return "delta window missed"
     return None
 
 
-def _master_erasable_goals(t: Tuple, dp: int, gp: int, lbar: int, mp: int, mpp: int) -> list[Tuple]:
-    m = t.m
-    return [Tuple(dp - 1, gp, t.r - 1, lbar, mb) for mb in range(m - mp - mpp, m - mp + 1)]
-
-
 def _goals_master_erasable(t: Tuple, p: RuleParams) -> list[Tuple]:
     lbar = _bar_ell(t.ell, p.ell_prime, p.m_prime, p.sum_n, t.r)
-    return _master_erasable_goals(t, p.d_prime, p.g_prime, lbar, p.m_prime, p.m_dprime)
+    top = t.m - p.m_prime
+    return [Tuple(p.d_prime - 1, p.g_prime, t.r - 1, lbar, mb) for mb in range(top - p.m_dprime, top + 1)]
 
 
 def _check_gather_lines(t: Tuple, p: RuleParams) -> Optional[str]:
@@ -345,8 +336,6 @@ def _goals_pancake_onions(t: Tuple, p: RuleParams) -> list[Tuple]:
 def _check_two_proj(t: Tuple, p: RuleParams) -> Optional[str]:
     d, g, r, ell, m = t
     eps = p.eps
-    if eps is None:
-        return "missing parameter"
     if r < 3:
         return "r < 3"
     if ell != 0:
@@ -364,14 +353,12 @@ def _check_two_proj(t: Tuple, p: RuleParams) -> Optional[str]:
     return None
 
 
-def _two_proj_goals(t: Tuple, eps: int) -> list[Tuple]:
-    return [Tuple(t.d - 2 * eps - 2, t.g, t.r - 2, 0, 1)]
+def _goals_two_proj(t: Tuple, p: RuleParams) -> list[Tuple]:
+    return [Tuple(t.d - 2 * p.eps - 2, t.g, t.r - 2, 0, 1)]
 
 
 def _check_delta_5(t: Tuple, p: RuleParams) -> Optional[str]:
     k = p.k
-    if k is None:
-        return "missing parameter"
     if k < 3:
         return "k below 3"
     if t != (4 * k + 1, 2 * k - 1, 2 * k + 1, 0, 1):
@@ -379,7 +366,8 @@ def _check_delta_5(t: Tuple, p: RuleParams) -> Optional[str]:
     return None
 
 
-def _delta_5_goals(k: int) -> list[Tuple]:
+def _goals_delta_5(t: Tuple, p: RuleParams) -> list[Tuple]:
+    k = p.k
     return [Tuple(4 * k - 3, 2 * k - 2, 2 * k - 1, k - 3, 0)]
 
 
@@ -403,8 +391,6 @@ def _goals_m0_delta_2(t: Tuple, p: RuleParams) -> list[Tuple]:
 def _check_m0_delta_35(t: Tuple, p: RuleParams) -> Optional[str]:
     d, g, r, ell, m = t
     eps = p.eps
-    if eps is None:
-        return "missing parameter"
     if m != 0:
         return "m must be 0"
     if g < 3:
@@ -420,9 +406,9 @@ def _check_m0_delta_35(t: Tuple, p: RuleParams) -> Optional[str]:
     return None
 
 
-def _m0_delta_35_goals(t: Tuple, eps: int) -> list[Tuple]:
+def _goals_m0_delta_35(t: Tuple, p: RuleParams) -> list[Tuple]:
     d, g, r, ell, m = t
-    dd = d - 3 * eps - 6
+    dd = d - 3 * p.eps - 6
     return [Tuple(dd, g - 3, r - 3, ell + 1, 0), Tuple(dd, g - 3, r - 3, ell, 0)]
 
 
@@ -461,17 +447,17 @@ def _goals_delta_1_step(t: Tuple, p: RuleParams) -> list[Tuple]:
 
 
 # ---------------------------------------------------------------------------
-# candidate enumerators: each yields (parameter values, subgoals) for the
+# candidate enumerators: each yields (RuleParams, subgoals) for the
 # parameter choices that meet the rule's guard, in canonical order; a rule
 # with at most one candidate returns a tuple of zero or one of them instead
 # of starting a generator
 
-_OneShot = tuple[tuple[tuple, list[Tuple]], ...]
+_OneShot = tuple[tuple[RuleParams, list[Tuple]], ...]
 
 
 def _master_family_candidates(
     t: Tuple, offset: int, strict: bool, goals: Callable, least_good: bool = False
-) -> Iterator[tuple[tuple, list[Tuple]]]:
+) -> Iterator[tuple[RuleParams, list[Tuple]]]:
     """(ell', m', d', sum_n, any2) in lexicographic order.
 
     X = offset + ell' + 2(d - d') + sum_n, and sum_n has the parity of
@@ -536,14 +522,11 @@ def _master_family_candidates(
                 any2 = odd and sn < 4 * mp
                 if any2 and elliptic and dp == r + 1:
                     continue
-                yield (lp, mp, dp, sn, any2), goals(t, dp, a - dp, mbar)
+                p = RuleParams(ell_prime=lp, m_prime=mp, d_prime=dp, sum_n=sn, any_ni_is_2=any2)
+                yield p, goals(t, dp, a - dp, mbar)
 
 
-def _master_params(lp, mp, dp, sn, any2) -> RuleParams:
-    return RuleParams(ell_prime=lp, m_prime=mp, d_prime=dp, sum_n=sn, any_ni_is_2=any2)
-
-
-def _master_erasable_candidates(t: Tuple) -> Iterator[tuple[tuple, list[Tuple]]]:
+def _master_erasable_candidates(t: Tuple) -> Iterator[tuple[RuleParams, list[Tuple]]]:
     """(ell', m', m'', g', eps_out, d', sum_n) in lexicographic order, with
     eps_in fixed by the degree drop.  X = 2 eps_in + b + sum_n where b does
     not depend on d', and eps_in = E - d'; as for the master family the
@@ -583,25 +566,11 @@ def _master_erasable_candidates(t: Tuple) -> Iterator[tuple[tuple, list[Tuple]]]
                             any2 = odd and sn < 4 * mp
                             if any2 and gp == 1 and dp == r + 1:
                                 continue
-                            lbar = ell - lp + (mp * k - sn) // 2
-                            yield (
-                                (lp, mp, mpp, dp, gp, e_top - dp, eout, sn, any2),
-                                _master_erasable_goals(t, dp, gp, lbar, mp, mpp),
+                            p = RuleParams(
+                                ell_prime=lp, m_prime=mp, m_dprime=mpp, d_prime=dp, g_prime=gp,
+                                eps_in=e_top - dp, eps_out=eout, sum_n=sn, any_ni_is_2=any2,
                             )
-
-
-def _master_erasable_params(lp, mp, mpp, dp, gp, ein, eout, sn, any2) -> RuleParams:
-    return RuleParams(
-        ell_prime=lp,
-        m_prime=mp,
-        m_dprime=mpp,
-        d_prime=dp,
-        g_prime=gp,
-        eps_in=ein,
-        eps_out=eout,
-        sum_n=sn,
-        any_ni_is_2=any2,
-    )
+                            yield p, _goals_master_erasable(t, p)
 
 
 def _two_proj_candidates(t: Tuple) -> _OneShot:
@@ -615,7 +584,8 @@ def _two_proj_candidates(t: Tuple) -> _OneShot:
     eps = (x - 1) // 2
     room = d - g - r
     if eps >= 0 and (2 * eps < room if g == 0 else 2 * eps <= room):
-        return (((eps,), _two_proj_goals(t, eps)),)
+        p = RuleParams(eps=eps)
+        return ((p, _goals_two_proj(t, p)),)
     return ()
 
 
@@ -629,7 +599,8 @@ def _m0_delta_35_candidates(t: Tuple) -> _OneShot:
         return ()
     eps = (x - 3) // 2
     if 0 <= eps and 3 * eps <= d - g - r:
-        return (((eps,), _m0_delta_35_goals(t, eps)),)
+        p = RuleParams(eps=eps)
+        return ((p, _goals_m0_delta_35(t, p)),)
     return ()
 
 
@@ -638,16 +609,17 @@ def _delta_5_candidates(t: Tuple) -> _OneShot:
     d, g, r, ell, m = t
     if r % 2 == 0 or r < 7 or ell != 0 or m != 1 or d != 2 * r - 1 or g != r - 2:
         return ()
-    k = (r - 1) // 2
-    return (((k,), _delta_5_goals(k)),)
+    p = RuleParams(k=(r - 1) // 2)
+    return ((p, _goals_delta_5(t, p)),)
 
 
 class _Rule(NamedTuple):
     check: Callable[[Tuple, RuleParams], Optional[str]]
     goals: Callable[[Tuple, RuleParams], list[Tuple]]
-    # (t) -> (parameter values, subgoals); None for rules without parameters
+    # the RuleParams fields the rule reads; `apply` needs `p` to set just these
+    fields: tuple[str, ...] = ()
+    # (t) -> (RuleParams, subgoals) pairs; None for rules without parameters
     candidates: Optional[Callable] = None
-    params: Optional[Callable[..., RuleParams]] = None
     # the candidates `first_instance` tries, when it may skip some whose
     # subgoals are not all good
     first_candidates: Optional[Callable] = None
@@ -658,8 +630,8 @@ def _master_family_rule(offset: int, strict: bool, formula: Callable) -> _Rule:
     return _Rule(
         partial(_check_master_family, offset=offset, strict=strict),
         partial(_goals_master_family, formula=formula),
+        ("ell_prime", "m_prime", "d_prime", "sum_n", "any_ni_is_2"),
         candidates,
-        _master_params,
         partial(candidates, least_good=True),
     )
 
@@ -670,41 +642,39 @@ _RULES: dict[RuleId, _Rule] = {
     RuleId.MASTER_ERASABLE: _Rule(
         _check_master_erasable,
         _goals_master_erasable,
+        ("ell_prime", "m_prime", "m_dprime", "d_prime", "g_prime", "eps_in", "eps_out", "sum_n", "any_ni_is_2"),
         _master_erasable_candidates,
-        _master_erasable_params,
     ),
     RuleId.GATHER_LINES: _Rule(_check_gather_lines, _goals_gather_lines),
     RuleId.PEEL_ONION: _Rule(_check_peel_onion, _goals_peel_onion),
     RuleId.PANCAKE_ONIONS: _Rule(_check_pancake_onions, _goals_pancake_onions),
-    RuleId.TWO_PROJ: _Rule(
-        _check_two_proj,
-        lambda t, p: _two_proj_goals(t, p.eps),
-        _two_proj_candidates,
-        lambda eps: RuleParams(eps=eps),
-    ),
-    RuleId.DELTA_5: _Rule(
-        _check_delta_5,
-        lambda t, p: _delta_5_goals(p.k),
-        _delta_5_candidates,
-        lambda k: RuleParams(k=k),
-    ),
+    RuleId.TWO_PROJ: _Rule(_check_two_proj, _goals_two_proj, ("eps",), _two_proj_candidates),
+    RuleId.DELTA_5: _Rule(_check_delta_5, _goals_delta_5, ("k",), _delta_5_candidates),
     RuleId.M0_DELTA_2: _Rule(_check_m0_delta_2, _goals_m0_delta_2),
-    RuleId.M0_DELTA_35: _Rule(
-        _check_m0_delta_35,
-        lambda t, p: _m0_delta_35_goals(t, p.eps),
-        _m0_delta_35_candidates,
-        lambda eps: RuleParams(eps=eps),
-    ),
+    RuleId.M0_DELTA_35: _Rule(_check_m0_delta_35, _goals_m0_delta_35, ("eps",), _m0_delta_35_candidates),
     RuleId.M0_DELTA_4: _Rule(_check_m0_delta_4, _goals_m0_delta_4),
     RuleId.DELTA_1_STEP: _Rule(_check_delta_1_step, _goals_delta_1_step),
 }
 
 
+def _parameter_violation(fields: tuple[str, ...], p: RuleParams) -> Optional[str]:
+    """Why `p` does not set exactly `fields`; a false any_ni_is_2 is unset."""
+    if not fields and p == _NO_PARAMS:  # most rule nodes: one comparison
+        return None
+    for name, v in zip(p._fields, p):
+        if name in fields:
+            if v is None:
+                return f"missing parameter {name}"
+        elif v is not None and v is not False:
+            return f"parameter {name} does not belong to this rule"
+    return None
+
+
 def apply(rule: RuleId, t: Tuple, p: RuleParams = _NO_PARAMS) -> list[Tuple]:
-    """Validate every hypothesis of `rule` at `t` with parameters `p` and
-    return the subgoal list; raises PreconditionViolated otherwise."""
+    """Check that `p` sets exactly the fields `rule` reads and every hypothesis
+    of `rule` at `t`; return the subgoal list or raise PreconditionViolated."""
     spec = _RULES[rule]
-    why = spec.check(t, p)
+    why = _parameter_violation(spec.fields, p) or spec.check(t, p)
     if why is not None:
         raise PreconditionViolated(why)
     return spec.goals(t, p)
@@ -724,17 +694,16 @@ def _bare_instance(spec: _Rule, t: Tuple, accept: Callable) -> Optional[tuple[Ru
 
 
 def _kept(
-    rule: RuleId, spec: _Rule, t: Tuple, values: tuple, goals: list[Tuple], accept: Callable
-) -> Optional[RuleParams]:
-    """The parameters of a candidate whose every subgoal `accept` keeps,
-    validated by the rule's check; None when `accept` rejects a subgoal."""
+    rule: RuleId, spec: _Rule, t: Tuple, p: RuleParams, goals: list[Tuple], accept: Callable
+) -> bool:
+    """Whether `accept` keeps every subgoal of a candidate; a kept one is
+    validated by the rule's check."""
     if not all(accept(s) for s in goals):
-        return None
-    p = spec.params(*values)
+        return False
     why = spec.check(t, p)
     if why is not None:
         raise InvariantViolated(f"{rule.value} enumerated {p} at {t}: {why}")
-    return p
+    return True
 
 
 def enumerate_instances(
@@ -750,9 +719,8 @@ def enumerate_instances(
         if hit is not None:
             yield hit
         return
-    for values, goals in spec.candidates(t):
-        p = _kept(rule, spec, t, values, goals, accept)
-        if p is not None:
+    for p, goals in spec.candidates(t):
+        if _kept(rule, spec, t, p, goals, accept):
             yield p, goals
 
 
@@ -766,8 +734,7 @@ def first_instance(
     spec = _RULES[rule]
     if spec.candidates is None:
         return _bare_instance(spec, t, accept)
-    for values, goals in (spec.first_candidates or spec.candidates)(t):
-        p = _kept(rule, spec, t, values, goals, accept)
-        if p is not None:
+    for p, goals in (spec.first_candidates or spec.candidates)(t):
+        if _kept(rule, spec, t, p, goals, accept):
             return p, goals
     return None

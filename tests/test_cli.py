@@ -161,6 +161,18 @@ def test_certify_and_verify_round_trip(runner, tmp_path):
     res = run(runner, "verify", cert_path)
     assert res.exit_code == 3 and "FAIL" in res.output
 
+    # a parameter the node's rule does not have
+    foreign = [("gather-lines", {"eps": 99}), ("gather-lines", {"k": 7}), ("m0-delta-2", {"g_prime": 0}),
+               ("gather-lines", {"any_ni_is_2": True}), ("master", {"eps": 3})]
+    for rule, params in foreign:
+        assert run(runner, "certify", 13, 2, 6, 1, 0, "--json", cert_path).exit_code == 0
+        doc = json.loads(cert_path.read_text())
+        jd = next(row["justification"] for row in doc["nodes"] if row["justification"].get("rule") == rule)
+        jd["params"].update(params)
+        cert_path.write_text(json.dumps(doc))
+        res = run(runner, "verify", cert_path)
+        assert res.exit_code == 3 and "PreconditionViolated" in res.output, (rule, params, res.output)
+
 
 def test_certify_rejects_bad_input(runner):
     res = run(runner, "certify", 2, 0, 3, 0, 0)
@@ -224,6 +236,21 @@ def test_readers_refuse_a_top_level_array_and_name_a_missing_key(runner, tmp_pat
     ax.write_text(json.dumps({"axioms": [{"citation": "assumed"}]}))
     res = run(runner, "certify", 13, 2, 6, 1, 0, "--axioms", ax)
     assert res.exit_code == 1 and "axioms file: missing key 'tuple'" in res.output
+    res = run(runner, "sporadic", "--rmax", 3, "--expected", listed)
+    assert res.exit_code == 1 and "expected file: expected a JSON object, got list" in res.output
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    res = run(runner, "sporadic", "--rmax", 3, "--expected", empty)
+    assert res.exit_code == 1 and "expected file: missing key 'sporadic30'" in res.output
+    # a tuple with two rows: an exact copy, and a second row that differs
+    assert run(runner, "certify", 13, 2, 6, 1, 0, "--json", cert).exit_code == 0
+    doc = json.loads(cert.read_text())
+    row = doc["nodes"][-1]
+    other = {"tuple": row["tuple"], "justification": {"kind": "axiom", "tag": "Extra"}}
+    for extra in (row, other):
+        cert.write_text(json.dumps({**doc, "nodes": doc["nodes"] + [extra]}))
+        res = run(runner, "verify", cert)
+        assert res.exit_code == 1 and f"certificate file: node {row['tuple']} listed twice" in res.output
 
 
 def test_erasable_command(runner):

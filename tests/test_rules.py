@@ -176,14 +176,6 @@ def test_delta_1_step_descends_the_locus_and_stops_at_the_base():
         apply(RuleId.DELTA_1_STEP, Tuple(20, 3, 15, 0, 0))
 
 
-def test_r3_master_family_forbids_twist_moves():
-    t = Tuple(6, 1, 3, 0, 2)
-    for p, _ in enumerate_instances(RuleId.MASTER, t):
-        assert p.m_prime == 0
-    with pytest.raises(PreconditionViolated, match="r = 3"):
-        apply(RuleId.MASTER, t, RuleParams(ell_prime=0, m_prime=1, d_prime=6, sum_n=2))
-
-
 def test_elliptic_boundary_excludes_height_two():
     # subgoal degree r+1 at genus 1 forbids any height-2 twist
     t = Tuple(8, 1, 5, 0, 2)
@@ -195,10 +187,39 @@ def test_elliptic_boundary_excludes_height_two():
             assert not p.any_ni_is_2 and p.sum_n >= 4 * p.m_prime
 
 
-def test_sum_n_parity_must_match_ambient():
-    t = Tuple(26, 0, 14, 0, 1)
-    with pytest.raises(PreconditionViolated, match="parity"):
-        apply(RuleId.MASTER, t, RuleParams(ell_prime=0, m_prime=1, d_prime=26, sum_n=4))
+_TWISTED = (RuleId.MASTER, RuleId.MASTER_111, RuleId.MASTER_ERASABLE)
+
+
+@pytest.mark.parametrize(
+    "t, ell_prime, m_prime, d_prime, sum_n, any2, match",
+    [
+        ((4, 0, 2, 0, 0), 0, 0, 4, 0, False, "r < 3"),
+        ((26, 0, 14, 0, 1), 1, 1, 26, 3, False, "ell' out of range"),
+        ((6, 1, 3, 0, 2), 0, 1, 6, 2, True, "r = 3"),
+        ((26, 0, 14, 0, 1), 0, 1, 27, 3, False, "d' out of range"),
+        ((26, 0, 14, 0, 1), 0, 1, 14, 3, False, "d' must exceed g' \\+ r when g' = 0"),
+        ((26, 0, 14, 0, 1), 0, 1, 26, 4, False, "parity"),
+        ((8, 1, 5, 0, 2), 0, 1, 6, 2, True, "forbidden"),
+    ],
+    ids=["r-below-3", "ell-prime", "r3-master-family-forbids-twist-moves", "d-prime",
+         "g-prime-0", "sum-n-parity-must-match-ambient", "elliptic-boundary"],
+)
+def test_twisted_rules_share_one_hypothesis_block(t, ell_prime, m_prime, d_prime, sum_n, any2, match):
+    # each row breaks exactly one hypothesis that master, master-111 and
+    # master-erasable share, and all three report it first, with g' = g,
+    # m'' = 0 and eps_out = 0.  (ell-bar >= 0 has no row: it follows from
+    # ell' <= ell and sum_n <= m'(r-1), so no params break it alone.)
+    t = Tuple(*t)
+    p = RuleParams(ell_prime=ell_prime, m_prime=m_prime, d_prime=d_prime, sum_n=sum_n, any_ni_is_2=any2)
+    erasable = p._replace(m_dprime=0, g_prime=t.g, eps_in=t.d - d_prime, eps_out=0)
+    reasons = set()
+    for rule, q in zip(_TWISTED, (p, p, erasable)):
+        with pytest.raises(PreconditionViolated, match=match) as e:
+            apply(rule, t, q)
+        reasons.add(e.value.reason)
+    assert len(reasons) == 1, reasons
+    if t.r == 3:
+        assert all(q.m_prime == 0 for rule in _TWISTED for q, _ in enumerate_instances(rule, t))
 
 
 def test_params_json_round_trip():

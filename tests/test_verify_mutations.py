@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bninterp import Certificate, RuleApp, Tuple, certify, is_good, rho, verify_certificate
+from bninterp import Certificate, RuleApp, RuleParams, Tuple, certify, is_good, rho, verify_certificate
 from bninterp.prover import PROVISO_DELTA1
 
 _SETTINGS = settings(deadline=None, max_examples=60)
@@ -102,6 +102,22 @@ def test_moving_an_integer_param_by_one_is_detected(pool, data):
     params = j.params._replace(**{key: getattr(j.params, key) + step})
     res = verify_certificate(_replaced(cert, node, dataclasses.replace(j, params=params)))
     assert res.code in ("PreconditionViolated", "ChildMismatch"), (t, node, key, step, res)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_a_foreign_param_is_detected(pool, data):
+    # a rule reads exactly the fields its params write to JSON; setting any
+    # other one, or any_ni_is_2 on a rule without twist heights, is refused
+    t = data.draw(st.sampled_from(pool["multi"]))
+    cert = pool["certs"][t]
+    node = data.draw(st.sampled_from(sorted(n for n, j in cert.nodes.items() if isinstance(j, RuleApp))))
+    j = cert.nodes[node]
+    key = data.draw(st.sampled_from([k for k in RuleParams._fields if k not in j.params.to_json()]))
+    value = True if key == "any_ni_is_2" else data.draw(st.integers(-2, 99))
+    params = j.params._replace(**{key: value})
+    res = verify_certificate(_replaced(cert, node, dataclasses.replace(j, params=params)))
+    assert res.code == "PreconditionViolated", (t, node, key, value, res)
 
 
 def test_stripping_the_delta1_proviso_is_detected():
