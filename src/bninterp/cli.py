@@ -38,7 +38,7 @@ from .prover import (
     Certificate,
     Irreducible,
     RuleApp,
-    _field,
+    _list_field,
     _tuple_from_json,
     certify as _certify,
     check_workers,
@@ -239,7 +239,7 @@ def sporadic(rmax, disabled, workers, csv_path, expected, fmt):
     report = run_sporadic_search(r_max=rmax, disabled=disabled, workers=workers)
     if expected is not None:
         with _file_errors("expected"), open(expected, "r", encoding="utf-8") as fh:
-            want = {_tuple_from_json(row) for row in _field(json.load(fh), "sporadic30")}
+            want = {_tuple_from_json(row) for row in _list_field(json.load(fh), "sporadic30")}
     else:
         want = set(SPORADIC30)
     want = {t for t in want if t.r <= rmax}

@@ -16,7 +16,8 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional, Union
+from itertools import product
+from typing import Callable, Collection, Iterable, Optional, Union
 
 from .core import SPORADIC30, XEX, InvariantViolated, Tuple, is_good, measure, rho
 from .rules import (
@@ -29,19 +30,50 @@ from .rules import (
     first_instance,
 )
 
-# rules available to the large-r coverage sweep (the finite-field and
-# degeneration arguments are excluded there by design)
-SECTION8_RULES = tuple(
-    r for r in RULE_ORDER if r not in (RuleId.MASTER_ERASABLE, RuleId.DELTA_1_STEP)
-)
-
-# rules that cannot fire on a sweep tuple, so neither sweep tries them:
+# The sweeps' rule tables.  A sweep tuple's shape class is the four tests
+# of `_shape`; each test is part of the guard of the rules that point to it
+# below, so a rule whose test the class fails has no instance on the
+# class's tuples, and the class's rule list leaves it out.  The master
+# family is in every class.  The lists are built once per sweep and looked
+# up once per tuple: filtering the rules per tuple costs more than the
+# attempts it saves.  Rules missing here are in neither sweep, because no
+# sweep tuple meets their guard:
 # - peel-onion needs g >= r; box tuples have g <= r - 1, and the images of
 #   XEX have g <= 2 < 3 <= r;
 # - delta-1-step needs the delta = 1, ell = m = 0 locus, which _in_sweep
 #   excludes.
-_NOT_IN_SWEEPS = (RuleId.PEEL_ONION, RuleId.DELTA_1_STEP)
-_THM14_RULES = tuple(r for r in SECTION8_RULES if r not in _NOT_IN_SWEEPS)
+# `certify` tries every rule, in RULE_ORDER, on every tuple.
+_SHAPE_TEST = {
+    RuleId.GATHER_LINES: 0,  # d >= g + 2r - 1
+    RuleId.PANCAKE_ONIONS: 1,  # m >= r - 1
+    RuleId.M0_DELTA_2: 2,  # m = 0
+    RuleId.M0_DELTA_4: 2,
+    RuleId.M0_DELTA_35: 2,
+    RuleId.TWO_PROJ: 3,  # ell = 0 and m = 1
+    RuleId.DELTA_5: 3,
+    RuleId.MASTER: None,
+    RuleId.MASTER_111: None,
+    RuleId.MASTER_ERASABLE: None,
+}
+
+
+def _shape(t: Tuple) -> tuple:
+    d, g, r, ell, m = t
+    return (d >= g + 2 * r - 1, m >= r - 1, m == 0, ell == 0 and m == 1)
+
+
+def _rule_table(left_out: Collection[RuleId]) -> dict:
+    """Shape class -> the sweep rules not in `left_out` whose shape test
+    the class passes, in RULE_ORDER."""
+    rules = [r for r in RULE_ORDER if r in _SHAPE_TEST and r not in left_out]
+    return {
+        key: tuple(r for r in rules if _SHAPE_TEST[r] is None or key[_SHAPE_TEST[r]])
+        for key in product((False, True), repeat=4)
+    }
+
+
+# the large-r coverage sweep leaves out the finite-field argument by design
+_THM14_TABLE = _rule_table({RuleId.MASTER_ERASABLE})
 
 PROVISO_DELTA1 = "assumes g > 0 or field characteristic != 2"
 # the hypothesis on the ground field that a rule's validity carries, if any
@@ -166,6 +198,14 @@ def _field(doc, key: str):
     return doc[key]
 
 
+def _list_field(doc, key: str) -> list:
+    """_field for a key whose value must be a JSON array."""
+    v = _field(doc, key)
+    if type(v) is not list:
+        raise ValueError(f"{key} must be a list, got {type(v).__name__}")
+    return v
+
+
 def _tuple_from_json(v) -> Tuple:
     # exact types, so bool is refused along with float and str
     if type(v) is list and len(v) == 5:
@@ -175,11 +215,16 @@ def _tuple_from_json(v) -> Tuple:
     raise ValueError(f"a tuple must be a list of 5 integers, got {v!r}")
 
 
+_PARAM_TYPES = {name: bool if name == "any_ni_is_2" else int for name in RuleParams._fields}
+
+
 def _check_params(doc: dict) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"params must be an object, got {doc!r}")
     for key, v in doc.items():
-        want = bool if key == "any_ni_is_2" else int
+        want = _PARAM_TYPES.get(key)
+        if want is None:
+            raise ValueError(f"unknown parameter {key!r}")
         if type(v) is not want:
             raise ValueError(f"parameter {key} must be {want.__name__}, got {v!r}")
     return doc
@@ -214,7 +259,7 @@ class Certificate:
         if type(version) is not int or version != 1:  # true and 1.0 equal 1
             raise ValueError(f"unsupported certificate version {version!r}")
         nodes = {}
-        for row in _field(doc, "nodes"):
+        for row in _list_field(doc, "nodes"):
             t = _tuple_from_json(_field(row, "tuple"))
             if t in nodes:
                 raise ValueError(f"node {list(t)} listed twice")
@@ -226,7 +271,7 @@ class Certificate:
                 nodes[t] = RuleApp(
                     rule=RuleId(_field(jd, "rule")),
                     params=RuleParams.from_json(_check_params(_field(jd, "params"))),
-                    children=tuple(_tuple_from_json(c) for c in _field(jd, "children")),
+                    children=tuple(_tuple_from_json(c) for c in _list_field(jd, "children")),
                     proviso=jd.get("proviso"),
                 )
             else:
@@ -393,20 +438,28 @@ def sweep_order(t: Tuple) -> tuple:
     return (t.r, t.g, t.d, t.ell, t.m)
 
 
-def _grid(r: int):
-    """(t, in_box) over the rank-r shell, in (g, d, ell, m) order.  The
-    shell contains the box g <= r-1, d <= g+2r-1, m <= r-2+eps0(g), which
-    the sporadic sweep and the large-r coverage check dispatch by rule."""
+def _rows(r: int):
+    """(g, d, m_top, m_box) over the (g, d) rows of the rank-r shell, in
+    order: the shell's m runs to m_top = min(rho, r + 1), and the box
+    g <= r-1, d <= g+2r-1, m <= r-2+eps0(g) to m_box, which is -1 outside
+    the box."""
     for g in range(0, r + 2):
         for d in range(g + r, g + 2 * r + 3):
             rr = rho(d, g, r)
             if rr < 0:
                 continue
-            # the largest m of the box at this (g, d), or -1 outside it
             m_box = (r - 2 + (1 if g == 0 else 0)) if g <= r - 1 and d <= g + 2 * r - 1 else -1
-            for ell in range(0, r // 2 + 1):
-                for m in range(0, min(rr, r + 1) + 1):
-                    yield Tuple(d, g, r, ell, m), m <= m_box
+            yield g, d, min(rr, r + 1), m_box
+
+
+def _grid(r: int):
+    """(t, in_box) over the rank-r shell, in (g, d, ell, m) order.  The
+    shell contains the box, which the sporadic sweep and the large-r
+    coverage check dispatch by rule."""
+    for g, d, m_top, m_box in _rows(r):
+        for ell in range(0, r // 2 + 1):
+            for m in range(0, m_top + 1):
+                yield Tuple(d, g, r, ell, m), m <= m_box
 
 
 def _in_sweep(t: Tuple) -> bool:
@@ -422,7 +475,12 @@ def enumerate_sporadic(r_max: int = 13) -> list:
     locus are excluded (they are handled by their own descent)."""
     out = set()
     for r in range(3, r_max + 1):
-        out.update(t for t, in_box in _grid(r) if in_box and _in_sweep(t))
+        for g, d, m_top, m_box in _rows(r):
+            for ell in range(0, r // 2 + 1):
+                for m in range(0, min(m_top, m_box) + 1):
+                    t = Tuple(d, g, r, ell, m)
+                    if _in_sweep(t):
+                        out.add(t)
     for x in XEX:
         if x.r > r_max:
             continue
@@ -444,6 +502,11 @@ def find_reduction(t: Tuple, rules: Iterable[RuleId] = RULE_ORDER) -> Optional[t
         if hit is not None:
             return (rule, hit[0], hit[1])
     return None
+
+
+def _dispatch(t: Tuple, table: dict) -> Optional[tuple]:
+    """find_reduction over the rules of `t`'s shape class in a sweep's table."""
+    return find_reduction(t, table[_shape(t)])
 
 
 @dataclass
@@ -473,9 +536,8 @@ def run_sporadic_search(
     runs give equal reports."""
     workers = check_workers(workers)
     tuples = enumerate_sporadic(r_max)
-    off = set(disabled)
-    rules = tuple(r for r in RULE_ORDER if r not in off and r not in _NOT_IN_SWEEPS)
-    found = _pmap(partial(find_reduction, rules=rules), tuples, workers, chunksize=64)
+    table = _rule_table(set(disabled))
+    found = _pmap(partial(_dispatch, table=table), tuples, workers, chunksize=64)
     witnesses = dict(zip(tuples, found))
     irreducible = sorted((t for t, w in witnesses.items() if w is None), key=sweep_order)
     return SporadicReport(
@@ -515,7 +577,7 @@ def _thm14_one_r(r: int):
         if in_box:
             if _in_sweep(t):
                 examined += 1
-                if find_reduction(t, _THM14_RULES) is None:
+                if _dispatch(t, _THM14_TABLE) is None:
                     uncovered.append(t)
         elif is_good(t).is_good:
             outside_checked += 1

@@ -41,10 +41,9 @@ one plain call, what `enumerate_instances` would yield first, provided
 starts each (ell', m') cell at the least d' whose first subgoal meets
 2 ell-bar <= r-1 and m-bar <= rho, and bounds m' in each ell' row in
 closed form to skip cells whose d' run is provably empty (see
-`_master_family_candidates`).  The sweeps skip peel-onion (it needs
-g >= r, which no sweep tuple has), and the sporadic sweep skips
-delta-1-step (it needs the delta = 1, ell = m = 0 locus, which the sweep
-excludes); `certify` tries every rule.
+`_master_family_candidates`).  The sweeps try on a tuple only the rules
+whose guard its shape can meet, from the rule table in `prover`;
+`certify` tries every rule.
 """
 
 from __future__ import annotations

@@ -174,6 +174,24 @@ def test_certify_and_verify_round_trip(runner, tmp_path):
         assert res.exit_code == 3 and "PreconditionViolated" in res.output, (rule, params, res.output)
 
 
+def test_verify_names_an_unknown_parameter(runner, tmp_path):
+    cert = tmp_path / "c.json"
+    assert run(runner, "certify", 13, 2, 6, 1, 0, "--json", cert).exit_code == 0
+    doc = json.loads(cert.read_text())
+    jd = next(row["justification"] for row in doc["nodes"] if row["justification"]["kind"] == "rule")
+    jd["params"]["zeta"] = 1
+    cert.write_text(json.dumps(doc))
+    res = run(runner, "verify", cert)
+    assert res.exit_code == 1 and "certificate file: unknown parameter 'zeta'" in res.output, res.output
+
+
+def test_sporadic_expected_rows_must_be_a_list(runner, tmp_path):
+    out = tmp_path / "constants.json"
+    out.write_text(json.dumps({"sporadic30": 5}))
+    res = run(runner, "sporadic", "--rmax", 3, "--expected", out)
+    assert res.exit_code == 1 and "expected file: sporadic30 must be a list, got int" in res.output, res.output
+
+
 def test_certify_rejects_bad_input(runner):
     res = run(runner, "certify", 2, 0, 3, 0, 0)
     assert res.exit_code == 1
@@ -232,6 +250,15 @@ def test_readers_refuse_a_top_level_array_and_name_a_missing_key(runner, tmp_pat
     cert.write_text(json.dumps(doc))
     res = run(runner, "verify", cert)
     assert res.exit_code == 1 and "certificate file: missing key 'nodes'" in res.output
+    cert.write_text(json.dumps({**doc, "nodes": 5}))
+    res = run(runner, "verify", cert)
+    assert res.exit_code == 1 and "certificate file: nodes must be a list, got int" in res.output
+    assert run(runner, "certify", 13, 2, 6, 1, 0, "--json", cert).exit_code == 0
+    doc = json.loads(cert.read_text())
+    next(row for row in doc["nodes"] if row["justification"]["kind"] == "rule")["justification"]["children"] = 5
+    cert.write_text(json.dumps(doc))
+    res = run(runner, "verify", cert)
+    assert res.exit_code == 1 and "certificate file: children must be a list, got int" in res.output
     ax = tmp_path / "ax.json"
     ax.write_text(json.dumps({"axioms": [{"citation": "assumed"}]}))
     res = run(runner, "certify", 13, 2, 6, 1, 0, "--axioms", ax)

@@ -9,7 +9,9 @@ import json
 import pytest
 
 from bninterp import (
+    RULE_ORDER,
     SPORADIC30,
+    XEX,
     AxiomSet,
     Axiom,
     Certificate,
@@ -18,6 +20,7 @@ from bninterp import (
     RuleId,
     Tuple,
     certify,
+    enumerate_instances,
     enumerate_sporadic,
     find_reduction,
     first_instance,
@@ -29,7 +32,7 @@ from bninterp import (
 )
 import bninterp.prover as prover
 from bninterp import InvariantViolated, RuleParams
-from bninterp.prover import PROVISO_DELTA1, SECTION8_RULES, check_workers
+from bninterp.prover import PROVISO_DELTA1, check_workers
 
 
 def test_axiom_tags():
@@ -253,9 +256,46 @@ def test_disabling_rules_only_shrinks_reducibility():
 
 
 def test_section8_rules_exclude_the_degeneration_moves():
-    assert RuleId.MASTER_ERASABLE not in SECTION8_RULES
-    assert RuleId.DELTA_1_STEP not in SECTION8_RULES
-    assert len(SECTION8_RULES) == len(RuleId) - 2
+    # each shape class of the coverage sweep lists the sporadic sweep's
+    # rules for it, in rule order, but master-erasable
+    sporadic = prover._rule_table(())
+    assert len(sporadic) == 16 and sporadic.keys() == prover._THM14_TABLE.keys()
+    for key, rules in sporadic.items():
+        assert list(rules) == [r for r in RULE_ORDER if r in rules], key
+        assert prover._THM14_TABLE[key] == tuple(r for r in rules if r is not RuleId.MASTER_ERASABLE)
+    offered = {r for rules in prover._THM14_TABLE.values() for r in rules}
+    assert RuleId.MASTER_ERASABLE not in offered
+    assert RuleId.DELTA_1_STEP not in offered
+    # peel-onion is left out too: no sweep tuple has g >= r
+    assert offered == set(RuleId) - {RuleId.MASTER_ERASABLE, RuleId.DELTA_1_STEP, RuleId.PEEL_ONION}
+
+
+def test_rule_table_leaves_out_only_rules_without_an_instance():
+    # every shell tuple with r 3-20 and every image of XEX under the inverse
+    # pancake step: a rule its shape class leaves out has no instance there
+    # even when every subgoal is accepted
+    table = prover._rule_table(())
+    offered = {r for rules in table.values() for r in rules}
+    left_out = {key: [r for r in RULE_ORDER if r in offered and r not in rules] for key, rules in table.items()}
+    images = [Tuple(x.d, x.g, x.r, x.ell, x.m + x.r - 1) for x in XEX]
+    shell = [t for r in range(3, 21) for t, _in_box in prover._grid(r)]
+    checked = 0
+    for t in shell + images:
+        for rule in left_out[prover._shape(t)]:
+            assert next(enumerate_instances(rule, t, lambda s: True), None) is None, (t, rule)
+            checked += 1
+    assert len(shell) > 500_000 and checked > 3_000_000
+
+
+def test_disabled_rules_compose_with_the_rule_table():
+    # the sporadic sweep with one rule disabled gives the witnesses of an
+    # unfiltered find_reduction over the sweep rules without that rule
+    sweep = [r for r in RULE_ORDER if r not in (RuleId.PEEL_ONION, RuleId.DELTA_1_STEP)]
+    tuples = enumerate_sporadic(7)
+    for off in RuleId:
+        got = run_sporadic_search(r_max=7, disabled=(off,))
+        want = {t: find_reduction(t, [r for r in sweep if r is not off]) for t in tuples}
+        assert got.witnesses == want, off
 
 
 def test_sweep_tuples_cannot_fire_the_rules_the_sweeps_leave_out():
