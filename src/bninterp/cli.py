@@ -58,6 +58,19 @@ _FORMAT = click.option(
     help="Output format.",
 )
 
+def _int_arguments(*names):
+    def wrap(f):
+        for name in reversed(names):  # click takes the outermost decorator first
+            f = click.argument(name, type=int)(f)
+        return f
+
+    return wrap
+
+
+_TRIPLE = _int_arguments("d", "g", "r")
+_TUPLE = _int_arguments("d", "g", "r", "ell", "m")
+
+
 def _fail_input(msg: str) -> None:
     click.echo(f"error: {msg}", err=True)
     sys.exit(1)
@@ -127,9 +140,7 @@ def main():
 
 
 @main.command()
-@click.argument("d", type=int)
-@click.argument("g", type=int)
-@click.argument("r", type=int)
+@_TRIPLE
 @click.option("--char", type=int, default=0, show_default=True, help="Field characteristic (0 or a prime).")
 @_FORMAT
 def check(d, g, r, char, fmt):
@@ -149,11 +160,7 @@ def check(d, g, r, char, fmt):
 
 
 @main.command()
-@click.argument("d", type=int)
-@click.argument("g", type=int)
-@click.argument("r", type=int)
-@click.argument("ell", type=int)
-@click.argument("m", type=int)
+@_TUPLE
 @_FORMAT
 def good(d, g, r, ell, m, fmt):
     """Report whether a tuple passes the goodness test (exit 0) and name
@@ -168,11 +175,7 @@ def good(d, g, r, ell, m, fmt):
 
 
 @main.command(name="delta")
-@click.argument("d", type=int)
-@click.argument("g", type=int)
-@click.argument("r", type=int)
-@click.argument("ell", type=int)
-@click.argument("m", type=int)
+@_TUPLE
 @_FORMAT
 def delta_cmd(d, g, r, ell, m, fmt):
     """Print the exact defect ratio of a tuple as a reduced fraction."""
@@ -184,9 +187,7 @@ def delta_cmd(d, g, r, ell, m, fmt):
 
 
 @main.command(name="max-points")
-@click.argument("d", type=int)
-@click.argument("g", type=int)
-@click.argument("r", type=int)
+@_TRIPLE
 @_FORMAT
 def max_points_cmd(d, g, r, fmt):
     """Largest number of general points through which a curve of the given
@@ -317,11 +318,7 @@ def _load_axioms(path) -> AxiomSet:
 
 
 @main.command(name="certify")
-@click.argument("d", type=int)
-@click.argument("g", type=int)
-@click.argument("r", type=int)
-@click.argument("ell", type=int)
-@click.argument("m", type=int)
+@_TUPLE
 @click.option("--json", "json_path", type=click.Path(), default=None, help="Write the certificate to this file.")
 @click.option("--axioms", "axioms_path", type=click.Path(), default=None, help="JSON file of extra terminal tuples.")
 def certify_cmd(d, g, r, ell, m, json_path, axioms_path):

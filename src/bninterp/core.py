@@ -208,8 +208,18 @@ def is_good(t: Tuple) -> GoodnessVerdict:
 
     A tuple is good when d >= g + r, 2*ell <= r, 0 <= m <= rho(d, g, r),
     the residue condition 2*ell >= (1 - d) % (r - 1) holds whenever
-    g = m = 0, and the tuple is not one of the twelve in XEX.
+    g = m = 0, and the tuple is not one of the twelve in XEX.  A good tuple
+    returns before any failure list is built.
     """
+    d, g, r, ell, m = t
+    if (g >= 0 and ell >= 0 and m >= 0 and r >= 1 and d >= g + r and 2 * ell <= r and m <= rho(d, g, r)
+            and (g or m or r < 2 or 2 * ell >= (1 - d) % (r - 1)) and t not in XEX):
+        return _GOOD
+    return GoodnessVerdict(False, _failures(t))
+
+
+def _failures(t: Tuple) -> tuple[str, ...]:
+    """Every goodness condition `t` violates, in `is_good`'s order."""
     d, g, r, ell, m = t
     failures: list[str] = []
     if g < 0 or ell < 0 or m < 0 or r < 1:
@@ -225,7 +235,7 @@ def is_good(t: Tuple) -> GoodnessVerdict:
         failures.append(RATIONAL_RESIDUE)
     if t in XEX:
         failures.append(IN_XEX_LIST)
-    return GoodnessVerdict(False, tuple(failures)) if failures else _GOOD
+    return tuple(failures)
 
 
 def _is_prime(n: int) -> bool:

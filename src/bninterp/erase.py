@@ -141,19 +141,16 @@ def combine(state: AccState, incoming: ModType, r: int) -> Optional[AccState]:
 ModCollection = Counter  # Counter[ModType]
 
 
+# the types make_collection counts, in the order of its keywords
+_COLLECTION_TYPES = (ModType(1, 0, STRONG), ModType(1, 1, STRONG), ModType(2, 0, STRONG), ModType(2, 1, STRONG), ModType(1, 0, WEAK))
+
+
 def make_collection(s10=0, s11=0, s20=0, s21=0, w10=0) -> ModCollection:
-    """Collection from catalogue-shaped counts."""
+    """Collection from catalogue-shaped counts; zero counts are left out."""
     c: Counter = Counter()
-    if s10:
-        c[ModType(1, 0, STRONG)] = s10
-    if s11:
-        c[ModType(1, 1, STRONG)] = s11
-    if s20:
-        c[ModType(2, 0, STRONG)] = s20
-    if s21:
-        c[ModType(2, 1, STRONG)] = s21
-    if w10:
-        c[ModType(1, 0, WEAK)] = w10
+    for mt, n in zip(_COLLECTION_TYPES, (s10, s11, s20, s21, w10)):
+        if n:
+            c[mt] = n
     return c
 
 
@@ -257,7 +254,8 @@ def is_erasable(c: ModCollection, r: int) -> tuple[bool, Optional[list[str]]]:
     strongly general subspace.  Returns (verdict, witness order or None);
     the empty collection is vacuously erasable."""
     order = _erase_search(c, r)
-    return (False, None) if order is None else (True, [type_name(mt) for mt in order])
+    names = {mt: type_name(mt) for mt in c}  # once per distinct type
+    return (False, None) if order is None else (True, [names[mt] for mt in order])
 
 
 def erasable_fast(c: ModCollection, r: int) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -116,20 +117,6 @@ def _pmap(fn: Callable, items: list, workers: int, chunksize: int = 1) -> list:
 # axioms
 
 
-def _is_delta1_base(t: Tuple) -> bool:
-    return t.ell == 0 and t.m == 0 and t.r == 4 * t.g + 1 and t.d == 5 * t.g + 1
-
-
-def _is_canonical_odd_r(t: Tuple) -> bool:
-    return (
-        t.ell == 0
-        and t.m == 0
-        and t.r % 2 == 1
-        and t.d == 2 * t.r
-        and t.g == t.r + 1
-    )
-
-
 @dataclass
 class AxiomSet:
     """Terminal tuples the searcher accepts without further reduction.
@@ -139,13 +126,14 @@ class AxiomSet:
     extra: frozenset = frozenset()
 
     def tag_of(self, t: Tuple) -> Optional[str]:
-        if t.r <= 2:
+        d, g, r, ell, m = t
+        if r <= 2:
             return "SmallR"
-        if _is_delta1_base(t):
+        if ell == 0 and m == 0 and r == 4 * g + 1 and d == 5 * g + 1:
             return "Delta1Base"
         if t in SPORADIC30:
             return "Sporadic30"
-        if _is_canonical_odd_r(t):
+        if ell == 0 and m == 0 and r % 2 == 1 and d == 2 * r and g == r + 1:
             return "CanonicalEven"
         if t in self.extra:
             return "Extra"
@@ -155,7 +143,7 @@ class AxiomSet:
     def from_json(cls, doc: dict) -> "AxiomSet":
         """Read `{"axioms": [{"tuple": [...], ...}]}`; keys besides `tuple`,
         such as a `citation`, are for the reader of the file and ignored."""
-        rows = _json_object(doc).get("axioms", ())
+        rows = _list_field(doc, "axioms") if "axioms" in _json_object(doc) else ()
         return cls(extra=frozenset(_tuple_from_json(_field(row, "tuple")) for row in rows))
 
     @classmethod
@@ -268,11 +256,14 @@ class Certificate:
             if kind == "axiom":
                 nodes[t] = Axiom(tag=_field(jd, "tag"))
             elif kind == "rule":
+                proviso = jd.get("proviso")
+                if proviso is not None and type(proviso) is not str:
+                    raise ValueError(f"proviso must be a string, got {type(proviso).__name__}")
                 nodes[t] = RuleApp(
                     rule=RuleId(_field(jd, "rule")),
                     params=RuleParams.from_json(_check_params(_field(jd, "params"))),
                     children=tuple(_tuple_from_json(c) for c in _list_field(jd, "children")),
-                    proviso=jd.get("proviso"),
+                    proviso=proviso,
                 )
             else:
                 raise ValueError(f"unknown justification kind {kind!r}")
@@ -472,22 +463,21 @@ def enumerate_sporadic(r_max: int = 13) -> list:
     """Good tuples the reduction rules must either dispatch or declare
     irreducible: the small-r box, plus the images of the bad-residue list
     under one inverse pancake step; tuples on the delta = 1, ell = m = 0
-    locus are excluded (they are handled by their own descent)."""
-    out = set()
+    locus are excluded (they are handled by their own descent).  Listed in
+    sweep order."""
+    out = []  # _rows yields the box in sweep order
     for r in range(3, r_max + 1):
         for g, d, m_top, m_box in _rows(r):
             for ell in range(0, r // 2 + 1):
                 for m in range(0, min(m_top, m_box) + 1):
                     t = Tuple(d, g, r, ell, m)
                     if _in_sweep(t):
-                        out.add(t)
-    for x in XEX:
-        if x.r > r_max:
-            continue
-        t = Tuple(x.d, x.g, x.r, x.ell, x.m + x.r - 1)
+                        out.append(t)
+    # an image has m >= r - 1 and g >= 1, so it is not in the box
+    for t in (Tuple(x.d, x.g, x.r, x.ell, x.m + x.r - 1) for x in XEX if x.r <= r_max):
         if _in_sweep(t):
-            out.add(t)
-    return sorted(out, key=sweep_order)
+            out.insert(bisect_left(out, sweep_order(t), key=sweep_order), t)
+    return out
 
 
 def _goodness_accept(s: Tuple) -> bool:
@@ -568,11 +558,10 @@ def _covers_outside_box(t: Tuple) -> bool:
     return d >= g + 2 * r - 1 or g >= r or m >= r - 1
 
 
-def _thm14_one_r(r: int):
-    examined = 0
-    uncovered = []
-    outside_checked = 0
-    outside_uncovered = []
+def _thm14_one_r(r: int) -> tuple:
+    """(box tuples examined, uncovered; shell tuples checked, uncovered) at rank r."""
+    examined = checked = 0
+    uncovered, outside = [], []
     for t, in_box in _grid(r):
         if in_box:
             if _in_sweep(t):
@@ -580,26 +569,18 @@ def _thm14_one_r(r: int):
                 if _dispatch(t, _THM14_TABLE) is None:
                     uncovered.append(t)
         elif is_good(t).is_good:
-            outside_checked += 1
+            checked += 1
             if not _covers_outside_box(t):
-                outside_uncovered.append(t)
-    return (r, examined, uncovered, outside_checked, outside_uncovered)
+                outside.append(t)
+    return examined, uncovered, checked, outside
 
 
 def verify_thm14(r_max: int, r_min: int = 14, workers: int = 1) -> Thm14Report:
     """Check that every good box tuple with r_min <= r <= r_max (off the
     delta = 1 locus) is dispatched by some sweep rule, and that every good
     tuple in a shell outside the box satisfies a peeling precondition."""
-    results = _pmap(_thm14_one_r, list(range(r_min, r_max + 1)), workers)
-    examined = sum(r[1] for r in results)
-    uncovered = [t for row in results for t in row[2]]
-    outside_checked = sum(r[3] for r in results)
-    outside_uncovered = [t for row in results for t in row[4]]
+    rows = _pmap(_thm14_one_r, list(range(r_min, r_max + 1)), workers)
     return Thm14Report(
-        r_min=r_min,
-        r_max=r_max,
-        examined=examined,
-        uncovered=uncovered,
-        outside_checked=outside_checked,
-        outside_uncovered=outside_uncovered,
+        r_min, r_max, sum(row[0] for row in rows), [t for row in rows for t in row[1]],
+        sum(row[2] for row in rows), [t for row in rows for t in row[3]],
     )

@@ -3,10 +3,11 @@
 Each rule has one check, which returns the first violated hypothesis of
 its inductive argument (or None), a subgoal formula and the RuleParams
 fields it reads; the three rules with twist heights share one hypothesis
-block.  `apply` raises a parameter set other than those fields, or the
-violated hypothesis, as PreconditionViolated and otherwise returns the
-subgoal list; it is the validator `verify_certificate` trusts.  The rule
-layer never decides whether a subgoal "holds" -- acceptance is the caller's.
+block, which implies ell-bar >= 0 without a clause for it.  `apply`
+raises a parameter set other than those fields, or the violated
+hypothesis, as PreconditionViolated and otherwise returns the subgoal
+list; it is the validator `verify_certificate` trusts.  The rule layer
+never decides whether a subgoal "holds" -- acceptance is the caller's.
 
 All delta-window comparisons |delta - X| <= 1 - c/(r-1) are evaluated in
 cross-multiplied integer form |N - X(r-1)| <= (r-1) - c, where N is the
@@ -208,15 +209,14 @@ def _check_twisted_heights(t: Tuple, p: RuleParams, gp: int) -> Optional[str]:
         return "d' out of range"
     if gp == 0 and m != 0 and dp <= gp + r:
         return "d' must exceed g' + r when g' = 0 and m > 0"
-    why = _sum_n_violation(mp, sn, r, (dp, gp) == (r + 1, 1), p.any_ni_is_2)
-    if why is not None:
-        return why
-    if _bar_ell(ell, lp, mp, sn, r) < 0:
-        return "ell-bar negative"
-    return None
+    # No clause for ell-bar = (ell - ell') + ((r-1)m' - sum_n)/2 >= 0: every
+    # sum_n that _sum_n_violation admits is at most (r-1)m' (with a height 2,
+    # 2 + (r-1)(m'-1) <= (r-1)m' as r >= 3), and ell' <= ell.  The tests
+    # check this implication over the shell for r 3-20.
+    return _sum_n_violation(mp, sn, r, dp == r + 1 and gp == 1, p.any_ni_is_2)
 
 
-def _check_master_family(t: Tuple, p: RuleParams, offset: int, strict: bool) -> Optional[str]:
+def _check_master_family(offset: int, strict: bool, t: Tuple, p: RuleParams) -> Optional[str]:
     """Master (offset 0) and Master-111 (offset 1, strict forms m' < m and
     2m' + ell' < r - 2)."""
     why = _check_twisted_heights(t, p, t.g)
@@ -251,7 +251,7 @@ def _master_111_goals(t: Tuple, dp: int, lbar: int, mbar: int) -> list[Tuple]:
     ]
 
 
-def _goals_master_family(t: Tuple, p: RuleParams, formula: Callable) -> list[Tuple]:
+def _goals_master_family(formula: Callable, t: Tuple, p: RuleParams) -> list[Tuple]:
     lbar = _bar_ell(t.ell, p.ell_prime, p.m_prime, p.sum_n, t.r)
     return formula(t, p.d_prime, lbar, t.m - p.m_prime)
 
@@ -455,15 +455,14 @@ _OneShot = tuple[tuple[RuleParams, list[Tuple]], ...]
 
 
 def _master_family_candidates(
-    t: Tuple, offset: int, strict: bool, goals: Callable, least_good: bool = False
+    offset: int, strict: bool, goals: Callable, least_good: bool, t: Tuple
 ) -> Iterator[tuple[RuleParams, list[Tuple]]]:
     """(ell', m', d', sum_n, any2) in lexicographic order.
 
     X = offset + ell' + 2(d - d') + sum_n, and sum_n has the parity of
     m'(r-1), so (ell', m') fix the parity of X and with it the one window
     centre X*.  Then sum_n = X* - offset - ell' - 2d + 2d' is linear in d',
-    and the sum range [m' n_lo, m'(r-1)] is a closed d' interval.  ell-bar
-    >= 0 needs no test: sum_n <= m'(r-1) and ell' <= ell.
+    and the sum range [m' n_lo, m'(r-1)] is a closed d' interval.
 
     The first subgoal of both rules is (d'-1, g, r-1, ell-bar, m-bar) with
     ell-bar = A - d'.  With `least_good`, each cell's d' run starts at the
@@ -475,13 +474,18 @@ def _master_family_candidates(
         return
     k = r - 1
     n = delta_numerator(t)
-    centres = (_window_centre(n, k, k - 1, 0), _window_centre(n, k, k - 1, 1))
+    # |n - Xk| <= k - 1 holds X = x0 = ceil((n - k + 1)/k), and x0 + 1 if x0 k < n
+    x0 = -((k - 1 - n) // k)
+    x1 = x0 + 1 if x0 * k < n else None
+    centres = (x1, x0) if x0 % 2 else (x0, x1)
     cap = r - 3 if strict else r - 2  # bound on 2m' + ell'
     m_top = m - 1 if strict else m
-    dp_lo = g + r + (1 if (g == 0 and m != 0) else 0)
+    dp_lo = g + r + 1 if g == 0 and m != 0 else g + r
     odd = r % 2 == 1
     n_lo = 2 if odd else 3  # least height: even heights from 2, odd from 3
     elliptic = g == 1  # height 2 is forbidden at d' = r + 1
+    half = k // 2
+    rho_num = k * (g + r)
     # With `least_good`, cells whose d' run is provably empty are skipped in
     # closed form.  Both centres lie in {x0, x0 + 1} and m'k - c is even, so
     # every cell has (m'k - c)//2 = (m'k - c0)//2 with c0 = x0 - offset -
@@ -492,36 +496,44 @@ def _master_family_candidates(
     # over d for m' > mp_hi.
     lp_lo = 0
     if least_good:
-        x0 = -((k - 1 - n) // k)
-        floor = max(dp_lo, 1 - (-(m - m_top + k * (g + r)) // r))
-        lp_lo = max(0, ell - k // 2)
+        floor = 1 - (-(m - m_top + rho_num) // r)
+        floor = floor if floor > dp_lo else dp_lo
+        lp_lo = ell - half if ell > half else 0
         lo_num = 2 * floor + x0 - offset - 2 * d  # mp_lo = ceil((lo_num - ell') / k)
-        hi_num = x0 + 1 - offset - 2 * ell + 2 * (k // 2)  # mp_hi = (ell' + hi_num) // k
-    for lp in range(lp_lo, min(ell, cap) + 1):
+        hi_num = x0 + 1 - offset - 2 * ell + 2 * half  # mp_hi = (ell' + hi_num) // k
+    # min and max are spelled as conditionals: this runs once per sweep tuple
+    for lp in range(lp_lo, (ell if ell < cap else cap) + 1):
         # at r = 3, cap <= 1 already forces m' = 0
-        mp_lo, mp_hi = 0, min(m_top, (cap - lp) // 2)
+        mp_lo, mp_hi = 0, (cap - lp) // 2
+        mp_hi = m_top if m_top < mp_hi else mp_hi
         if least_good:
-            mp_lo = max(0, -((lp - lo_num) // k))
-            mp_hi = min(mp_hi, (lp + hi_num) // k)
+            mp_lo, cut = -((lp - lo_num) // k), (lp + hi_num) // k
+            mp_lo = mp_lo if mp_lo > 0 else 0
+            mp_hi = cut if cut < mp_hi else mp_hi
         for mp in range(mp_lo, mp_hi + 1):
             x = centres[(offset + lp + mp * k) % 2]
             if x is None:
                 continue
             c = x - offset - lp - 2 * d  # sum_n = c + 2d'; c has sum_n's parity
-            lo = max(dp_lo, (mp * n_lo - c) // 2)
-            hi = min(d, (mp * k - c) // 2)
-            a = ell - lp + (mp * k - c) // 2  # ell-bar = a - d'
+            top = (mp * k - c) // 2
+            lo = (mp * n_lo - c) // 2
+            lo = lo if lo > dp_lo else dp_lo
+            hi = d if d < top else top
+            a = ell - lp + top  # ell-bar = a - d'
             mbar = m - mp
             if least_good:
                 # 2(a - d') <= r-1, and r(d'-1) - k(g + r) >= m-bar
-                lo = max(lo, a - k // 2, 1 - (-(mbar + k * (g + r)) // r))
+                cut = 1 - (-(mbar + rho_num) // r)
+                cut = cut if cut > a - half else a - half
+                lo = lo if lo > cut else cut
             for dp in range(lo, hi + 1):
                 sn = c + 2 * dp
                 # the canonical flag: below 4m' every even-height multiset has a 2
                 any2 = odd and sn < 4 * mp
                 if any2 and elliptic and dp == r + 1:
                     continue
-                p = RuleParams(ell_prime=lp, m_prime=mp, d_prime=dp, sum_n=sn, any_ni_is_2=any2)
+                # positional: ell', m', m'', d', g', eps_in, eps_out, sum_n, any2
+                p = RuleParams(lp, mp, None, dp, None, None, None, sn, any2)
                 yield p, goals(t, dp, a - dp, mbar)
 
 
@@ -625,13 +637,13 @@ class _Rule(NamedTuple):
 
 
 def _master_family_rule(offset: int, strict: bool, formula: Callable) -> _Rule:
-    candidates = partial(_master_family_candidates, offset=offset, strict=strict, goals=formula)
+    # positional partials: a keyword partial builds a dict on every call
     return _Rule(
-        partial(_check_master_family, offset=offset, strict=strict),
-        partial(_goals_master_family, formula=formula),
+        partial(_check_master_family, offset, strict),
+        partial(_goals_master_family, formula),
         ("ell_prime", "m_prime", "d_prime", "sum_n", "any_ni_is_2"),
-        candidates,
-        partial(candidates, least_good=True),
+        partial(_master_family_candidates, offset, strict, formula, False),
+        partial(_master_family_candidates, offset, strict, formula, True),
     )
 
 
@@ -697,8 +709,9 @@ def _kept(
 ) -> bool:
     """Whether `accept` keeps every subgoal of a candidate; a kept one is
     validated by the rule's check."""
-    if not all(accept(s) for s in goals):
-        return False
+    for s in goals:
+        if not accept(s):
+            return False
     why = spec.check(t, p)
     if why is not None:
         raise InvariantViolated(f"{rule.value} enumerated {p} at {t}: {why}")

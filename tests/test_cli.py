@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, and file emission."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -183,6 +184,30 @@ def test_verify_names_an_unknown_parameter(runner, tmp_path):
     cert.write_text(json.dumps(doc))
     res = run(runner, "verify", cert)
     assert res.exit_code == 1 and "certificate file: unknown parameter 'zeta'" in res.output, res.output
+
+
+def test_readers_refuse_a_non_array_axioms_list_and_a_non_string_proviso(runner, tmp_path):
+    ax = tmp_path / "ax.json"
+    ax.write_text(json.dumps({"axioms": 5}))
+    res = run(runner, "certify", 13, 2, 6, 1, 0, "--axioms", ax)
+    assert res.exit_code == 1 and "axioms file: axioms must be a list, got int" in res.output, res.output
+    ax.write_text(json.dumps({"citation": "no axioms key: no extra axioms"}))
+    assert run(runner, "certify", 13, 2, 6, 1, 0, "--axioms", ax).exit_code == 0
+    cert = tmp_path / "c.json"
+    assert run(runner, "certify", 13, 2, 6, 1, 0, "--json", cert).exit_code == 0
+    doc = json.loads(cert.read_text())
+    next(row for row in doc["nodes"] if row["justification"]["kind"] == "rule")["justification"]["proviso"] = 5
+    cert.write_text(json.dumps(doc))
+    res = run(runner, "verify", cert)
+    assert res.exit_code == 1 and "certificate file: proviso must be a string, got int" in res.output, res.output
+
+
+def test_sporadic_csv_bytes_are_pinned(runner, tmp_path):
+    # the digest perfbench/reference.json stores as csv_sha256
+    out = tmp_path / "s.csv"
+    assert run(runner, "sporadic", "--rmax", 13, "--csv", out).exit_code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "9a596e81c36d802aee82b1cda9f4a77d1a023802306c1a1deeed10bf13cff357"
 
 
 def test_sporadic_expected_rows_must_be_a_list(runner, tmp_path):

@@ -110,6 +110,28 @@ def test_goodness_residue_clause_only_binds_rational_unmodified_case():
     assert is_good(Tuple(6, 0, 4, 0, 1)).is_good
 
 
+def test_good_verdict_agrees_with_the_failure_list():
+    # is_good returns the shared good verdict before building a failure
+    # list; on a grid with negative fields, r = 0, 1, 2 and every XEX tuple
+    # it must agree with the clause-by-clause list
+    from bninterp.core import _GOOD, _failures
+
+    grid = [
+        Tuple(d, g, r, ell, m)
+        for r in range(0, 7) for d in range(-1, 16) for g in range(-1, 6)
+        for ell in range(-1, 5) for m in range(-1, 6)
+    ]
+    goods = 0
+    for t in grid + sorted(XEX):
+        v = is_good(t)
+        assert v.failures == _failures(t), t
+        assert v.is_good == (v.failures == ()), t
+        if v.is_good:
+            assert v is _GOOD
+            goods += 1
+    assert 0 < goods < len(grid)
+
+
 def test_xex_members_are_rejected_and_all_sit_on_the_degree_floor():
     assert len(XEX) == 12
     for x in XEX:

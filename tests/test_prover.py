@@ -320,6 +320,12 @@ def test_thm14_first_rank_is_covered():
     assert rep.outside_checked > 1000
 
 
+def test_thm14_report_at_rank_16_is_pinned():
+    rep = verify_thm14(r_max=16)
+    assert (rep.examined, rep.outside_checked) == (78_048, 50_157)
+    assert rep.uncovered == [] and rep.outside_uncovered == []
+
+
 def test_thm14_parallel_agrees_with_serial():
     a = verify_thm14(r_max=15)
     b = verify_thm14(r_max=15, workers=2)

@@ -207,8 +207,8 @@ _TWISTED = (RuleId.MASTER, RuleId.MASTER_111, RuleId.MASTER_ERASABLE)
 def test_twisted_rules_share_one_hypothesis_block(t, ell_prime, m_prime, d_prime, sum_n, any2, match):
     # each row breaks exactly one hypothesis that master, master-111 and
     # master-erasable share, and all three report it first, with g' = g,
-    # m'' = 0 and eps_out = 0.  (ell-bar >= 0 has no row: it follows from
-    # ell' <= ell and sum_n <= m'(r-1), so no params break it alone.)
+    # m'' = 0 and eps_out = 0.  (ell-bar >= 0 is no hypothesis of its own:
+    # it follows from the others, as the next test shows.)
     t = Tuple(*t)
     p = RuleParams(ell_prime=ell_prime, m_prime=m_prime, d_prime=d_prime, sum_n=sum_n, any_ni_is_2=any2)
     erasable = p._replace(m_dprime=0, g_prime=t.g, eps_in=t.d - d_prime, eps_out=0)
@@ -220,6 +220,30 @@ def test_twisted_rules_share_one_hypothesis_block(t, ell_prime, m_prime, d_prime
     assert len(reasons) == 1, reasons
     if t.r == 3:
         assert all(q.m_prime == 0 for rule in _TWISTED for q, _ in enumerate_instances(rule, t))
+
+
+def test_ell_bar_cannot_be_negative_once_the_shared_hypotheses_hold():
+    # the shared block has no ell-bar >= 0 clause: 0 <= ell' <= ell and the
+    # sum_n clause imply it.  Exhaustive over the shell's ell range for r
+    # 3-20, every m' up to the shell's m range (and a few negative ones, as
+    # a certificate may hold any integers), both flags, and sum_n beyond
+    # either end of every admitted range
+    from bninterp.rules import _bar_ell, _sum_n_violation
+
+    admitted = tight = 0
+    for r in range(3, 21):
+        for mp in range(-2, r + 2):
+            for sn in range(-2 * r - 2, (r - 1) * (abs(mp) + 1) + 3):
+                for any2, exclude_2 in itertools.product((False, True), repeat=2):
+                    if _sum_n_violation(mp, sn, r, exclude_2, any2) is not None:
+                        continue
+                    for ell in range(0, r // 2 + 1):
+                        for lp in range(0, ell + 1):
+                            lbar = _bar_ell(ell, lp, mp, sn, r)
+                            assert lbar >= 0, (r, ell, lp, mp, sn, any2, exclude_2)
+                            admitted += 1
+                            tight += lbar == 0
+    assert tight > 0 and admitted > 100_000
 
 
 def test_params_json_round_trip():
