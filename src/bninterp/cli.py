@@ -30,7 +30,6 @@ from .core import (
     delta,
     is_good,
     max_points,
-    rho,
 )
 from .erase import STRONG, WEAK, CalculusError, ModType, is_erasable
 from .prover import (

@@ -504,12 +504,11 @@ class SporadicReport:
     r_max: int
     examined: int
     reducible: int
-    irreducible: list  # sorted by (r, g, d, ell, m)
-    witnesses: dict  # Tuple -> (RuleId, RuleParams, goals)
+    irreducible: list  # in sweep order
+    witnesses: dict  # Tuple -> (RuleId, RuleParams, goals), in sweep order
 
     def rows(self):
-        for t in sorted(self.witnesses, key=sweep_order):
-            w = self.witnesses[t]
+        for t, w in self.witnesses.items():
             if w is None:
                 yield (t, "irreducible", None, None)
             else:
@@ -529,7 +528,7 @@ def run_sporadic_search(
     table = _rule_table(set(disabled))
     found = _pmap(partial(_dispatch, table=table), tuples, workers, chunksize=64)
     witnesses = dict(zip(tuples, found))
-    irreducible = sorted((t for t, w in witnesses.items() if w is None), key=sweep_order)
+    irreducible = [t for t, w in witnesses.items() if w is None]
     return SporadicReport(
         r_max=r_max,
         examined=len(tuples),

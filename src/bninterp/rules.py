@@ -21,20 +21,20 @@ boundary) is a function of (m', sum_n).  This collapses an exponential
 search to a linear one without changing the reachable subgoal set.
 
 Enumeration contract.  `enumerate_instances` yields a rule's instances in
-canonical (lexicographic parameter) order, and its enumerators solve the
-rule's guard instead of generating candidates and rejecting them.  Every
-window margin is below r - 1, so a window admits at most two consecutive
-centres X and only one of them has the parity the parameters force; the
-free parameter (d' for the master family, eps for two-proj and
-m0-delta-35) is then confined to a closed-form interval, and only that
-interval is visited.  Each candidate is a RuleParams, the one form of a
-rule instance from enumerator to certificate, with its subgoals, which go
-to the caller's `accept` first; the rule's check -- the code `apply` runs
--- runs only on the candidates `accept` kept.  So every yielded instance
-has passed the rule's check, and rejected candidates are never validated.
-A kept candidate that fails the check would be a defect in its enumerator
-and raises InvariantViolated.  A rule without parameters has no
-candidates to solve for: its check is its guard and runs before `accept`.
+canonical (lexicographic parameter) order, each a RuleParams -- the one
+form of a rule instance from enumerator to certificate -- with its
+subgoals.  Every window margin is below r - 1, so a window admits at most
+two consecutive centres X, and only one of them has the parity the
+parameters force.  A rule with at most one instance computes its free
+parameter from the tuple (eps from the window centre, k = (r-1)//2, or
+none), and its check -- the code `apply` runs -- is its guard and runs
+before the caller's `accept`.  A rule with many instances (the master
+family, master-erasable) has an enumerator that solves the guard: the
+centre confines d' to a closed-form interval, and only that interval is
+visited.  Its candidates go to `accept` first and the check runs only on
+those `accept` kept, so rejected candidates are never validated; a kept
+candidate that fails the check is a defect in its enumerator and raises
+InvariantViolated.
 
 First-instance contract.  `first_instance(rule, t, accept)` returns, in
 one plain call, what `enumerate_instances` would yield first, provided
@@ -446,12 +446,26 @@ def _goals_delta_1_step(t: Tuple, p: RuleParams) -> list[Tuple]:
 
 
 # ---------------------------------------------------------------------------
-# candidate enumerators: each yields (RuleParams, subgoals) for the
-# parameter choices that meet the rule's guard, in canonical order; a rule
-# with at most one candidate returns a tuple of zero or one of them instead
-# of starting a generator
+# instance parameters.  A rule with at most one instance has a function
+# that computes its free parameter from the tuple, or None when the window
+# holds no centre, and its check decides the rest.  A rule with many
+# instances has an enumerator that yields (RuleParams, subgoals) for the
+# parameter choices that meet its guard, in canonical order.
 
-_OneShot = tuple[tuple[RuleParams, list[Tuple]], ...]
+
+def _window_eps(slack: int, base: int, t: Tuple) -> Optional[RuleParams]:
+    """The eps whose odd centre 2 eps + base lies in the window of margin
+    r - slack (two-proj: slack 3, base 1; m0-delta-35: 4, 3)."""
+    # r >= slack keeps the margin non-negative, as _window_centre needs
+    if t.r < slack:
+        return None
+    x = _window_centre(delta_numerator(t), t.r - 1, t.r - slack, 1)
+    return None if x is None else RuleParams(eps=(x - base) // 2)
+
+
+def _delta_5_params(t: Tuple) -> RuleParams:
+    """The one k with 2k + 1 = r when r is odd."""
+    return RuleParams(k=(t.r - 1) // 2)
 
 
 def _master_family_candidates(
@@ -584,52 +598,15 @@ def _master_erasable_candidates(t: Tuple) -> Iterator[tuple[RuleParams, list[Tup
                             yield p, _goals_master_erasable(t, p)
 
 
-def _two_proj_candidates(t: Tuple) -> _OneShot:
-    """The one eps whose odd centre 2 eps + 1 lies in the window."""
-    d, g, r, ell, m = t
-    if r < 3 or ell != 0 or m != 1:
-        return ()
-    x = _window_centre(delta_numerator(t), r - 1, r - 3, 1)
-    if x is None:
-        return ()
-    eps = (x - 1) // 2
-    room = d - g - r
-    if eps >= 0 and (2 * eps < room if g == 0 else 2 * eps <= room):
-        p = RuleParams(eps=eps)
-        return ((p, _goals_two_proj(t, p)),)
-    return ()
-
-
-def _m0_delta_35_candidates(t: Tuple) -> _OneShot:
-    """The one eps whose odd centre 2 eps + 3 lies in the window."""
-    d, g, r, ell, m = t
-    if m != 0 or g < 3 or r < 6:
-        return ()
-    x = _window_centre(delta_numerator(t), r - 1, r - 4, 1)
-    if x is None:
-        return ()
-    eps = (x - 3) // 2
-    if 0 <= eps and 3 * eps <= d - g - r:
-        p = RuleParams(eps=eps)
-        return ((p, _goals_m0_delta_35(t, p)),)
-    return ()
-
-
-def _delta_5_candidates(t: Tuple) -> _OneShot:
-    """k = (r-1)/2, when t has the shape (4k+1, 2k-1, 2k+1, 0, 1), k >= 3."""
-    d, g, r, ell, m = t
-    if r % 2 == 0 or r < 7 or ell != 0 or m != 1 or d != 2 * r - 1 or g != r - 2:
-        return ()
-    p = RuleParams(k=(r - 1) // 2)
-    return ((p, _goals_delta_5(t, p)),)
-
-
 class _Rule(NamedTuple):
     check: Callable[[Tuple, RuleParams], Optional[str]]
     goals: Callable[[Tuple, RuleParams], list[Tuple]]
     # the RuleParams fields the rule reads; `apply` needs `p` to set just these
     fields: tuple[str, ...] = ()
-    # (t) -> (RuleParams, subgoals) pairs; None for rules without parameters
+    # a rule with at most one instance: (t) -> its RuleParams or None; left
+    # None when the rule has no parameters
+    params: Optional[Callable[[Tuple], Optional[RuleParams]]] = None
+    # (t) -> (RuleParams, subgoals) pairs of a rule with many instances
     candidates: Optional[Callable] = None
     # the candidates `first_instance` tries, when it may skip some whose
     # subgoals are not all good
@@ -642,8 +619,8 @@ def _master_family_rule(offset: int, strict: bool, formula: Callable) -> _Rule:
         partial(_check_master_family, offset, strict),
         partial(_goals_master_family, formula),
         ("ell_prime", "m_prime", "d_prime", "sum_n", "any_ni_is_2"),
-        partial(_master_family_candidates, offset, strict, formula, False),
-        partial(_master_family_candidates, offset, strict, formula, True),
+        candidates=partial(_master_family_candidates, offset, strict, formula, False),
+        first_candidates=partial(_master_family_candidates, offset, strict, formula, True),
     )
 
 
@@ -654,15 +631,15 @@ _RULES: dict[RuleId, _Rule] = {
         _check_master_erasable,
         _goals_master_erasable,
         ("ell_prime", "m_prime", "m_dprime", "d_prime", "g_prime", "eps_in", "eps_out", "sum_n", "any_ni_is_2"),
-        _master_erasable_candidates,
+        candidates=_master_erasable_candidates,
     ),
     RuleId.GATHER_LINES: _Rule(_check_gather_lines, _goals_gather_lines),
     RuleId.PEEL_ONION: _Rule(_check_peel_onion, _goals_peel_onion),
     RuleId.PANCAKE_ONIONS: _Rule(_check_pancake_onions, _goals_pancake_onions),
-    RuleId.TWO_PROJ: _Rule(_check_two_proj, _goals_two_proj, ("eps",), _two_proj_candidates),
-    RuleId.DELTA_5: _Rule(_check_delta_5, _goals_delta_5, ("k",), _delta_5_candidates),
+    RuleId.TWO_PROJ: _Rule(_check_two_proj, _goals_two_proj, ("eps",), partial(_window_eps, 3, 1)),
+    RuleId.DELTA_5: _Rule(_check_delta_5, _goals_delta_5, ("k",), _delta_5_params),
     RuleId.M0_DELTA_2: _Rule(_check_m0_delta_2, _goals_m0_delta_2),
-    RuleId.M0_DELTA_35: _Rule(_check_m0_delta_35, _goals_m0_delta_35, ("eps",), _m0_delta_35_candidates),
+    RuleId.M0_DELTA_35: _Rule(_check_m0_delta_35, _goals_m0_delta_35, ("eps",), partial(_window_eps, 4, 3)),
     RuleId.M0_DELTA_4: _Rule(_check_m0_delta_4, _goals_m0_delta_4),
     RuleId.DELTA_1_STEP: _Rule(_check_delta_1_step, _goals_delta_1_step),
 }
@@ -695,13 +672,14 @@ def apply(rule: RuleId, t: Tuple, p: RuleParams = _NO_PARAMS) -> list[Tuple]:
 # instance enumeration
 
 
-def _bare_instance(spec: _Rule, t: Tuple, accept: Callable) -> Optional[tuple[RuleParams, list[Tuple]]]:
-    """The one instance of a rule without parameters: its check is its
-    guard and runs before `accept`."""
-    if spec.check(t, _NO_PARAMS) is not None:
+def _single_instance(spec: _Rule, t: Tuple, accept: Callable) -> Optional[tuple[RuleParams, list[Tuple]]]:
+    """The instance of a rule with at most one: its check is its guard and
+    runs before `accept`."""
+    p = _NO_PARAMS if spec.params is None else spec.params(t)
+    if p is None or spec.check(t, p) is not None:
         return None
-    goals = spec.goals(t, _NO_PARAMS)
-    return (_NO_PARAMS, goals) if all(accept(s) for s in goals) else None
+    goals = spec.goals(t, p)
+    return (p, goals) if all(accept(s) for s in goals) else None
 
 
 def _kept(
@@ -723,11 +701,11 @@ def enumerate_instances(
 ) -> Iterator[tuple[RuleParams, list[Tuple]]]:
     """All parameter choices for `rule` at `t` passing the rule's check and
     whose every subgoal satisfies `accept`, in canonical (lexicographically
-    sorted parameter) order.  `accept` runs before the check (see the
-    module docstring)."""
+    sorted parameter) order.  For a rule with many instances `accept` runs
+    before the check (see the module docstring)."""
     spec = _RULES[rule]
     if spec.candidates is None:
-        hit = _bare_instance(spec, t, accept)
+        hit = _single_instance(spec, t, accept)
         if hit is not None:
             yield hit
         return
@@ -745,7 +723,7 @@ def first_instance(
     whose first subgoal can be good."""
     spec = _RULES[rule]
     if spec.candidates is None:
-        return _bare_instance(spec, t, accept)
+        return _single_instance(spec, t, accept)
     for p, goals in (spec.first_candidates or spec.candidates)(t):
         if _kept(rule, spec, t, p, goals, accept):
             return p, goals

@@ -210,6 +210,8 @@ def test_sporadic_parallel_report_equals_serial():
     b = run_sporadic_search(r_max=6, workers=2)
     assert a == b
     assert all(w is None or w[2] for w in b.witnesses.values())
+    # stored in sweep order, so `rows` and `irreducible` need no sort
+    assert list(b.witnesses) == sorted(b.witnesses, key=prover.sweep_order)
 
 
 def test_check_workers_rejects_below_one_and_clamps_to_cpu_count(monkeypatch):

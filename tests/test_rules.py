@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bninterp.rules as rules_mod
 from bninterp import (
     RULE_ORDER,
+    InvariantViolated,
     PreconditionViolated,
     RuleId,
     RuleParams,
@@ -624,3 +626,35 @@ def _shell_tuples(draw):
 @given(t=_shell_tuples(), rule=st.sampled_from([RuleId.MASTER, RuleId.MASTER_111]))
 def test_master_family_first_instance_matches_enumeration_up_to_r_60(t, rule):
     _first_matches_enumeration(rule, t)
+
+
+# ---------------------------------------------------------------------------
+# the two ways an instance is produced, against a defective parameter source
+
+
+def test_an_enumerated_candidate_the_check_refuses_is_an_invariant_violation(monkeypatch):
+    t = Tuple(26, 0, 14, 0, 1)
+    spec = rules_mod._RULES[RuleId.MASTER]
+    bad = RuleParams(ell_prime=0, m_prime=1, d_prime=25, sum_n=3)  # misses the window
+
+    def defective(t):
+        yield bad, spec.goals(t, bad)
+
+    monkeypatch.setitem(
+        rules_mod._RULES, RuleId.MASTER, spec._replace(candidates=defective, first_candidates=defective)
+    )
+    with pytest.raises(InvariantViolated, match="^master enumerated .*window"):
+        list(enumerate_instances(RuleId.MASTER, t))
+    with pytest.raises(InvariantViolated, match="^master enumerated .*window"):
+        first_instance(RuleId.MASTER, t, lambda s: True)
+
+
+@pytest.mark.parametrize("eps", [-1, 2])
+def test_a_single_instance_rule_refuses_an_out_of_range_parameter_by_its_check(monkeypatch, eps):
+    # eps = 1 is the one instance at t; -1 is negative and 2 exceeds (d - g - r)/2
+    t = Tuple(8, 0, 5, 0, 1)
+    assert first_instance(RuleId.TWO_PROJ, t, lambda s: True) == (RuleParams(eps=1), [Tuple(4, 0, 3, 0, 1)])
+    spec = rules_mod._RULES[RuleId.TWO_PROJ]
+    monkeypatch.setitem(rules_mod._RULES, RuleId.TWO_PROJ, spec._replace(params=lambda t: RuleParams(eps=eps)))
+    assert list(enumerate_instances(RuleId.TWO_PROJ, t)) == []
+    assert first_instance(RuleId.TWO_PROJ, t, lambda s: True) is None
