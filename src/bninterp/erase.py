@@ -15,10 +15,14 @@ every combination step.
 The search for an erasable order carries twist-free (t1, t2, strength)
 states, since no case guard and no acceptance test reads the twist.  It
 walks an explicit stack, so the recursion limit never bounds a
-collection's size, memoizes every subproblem in `_MEMO`, and takes each
-step from `_step`, a cache of checked `combine` results.  `combine`,
-`normalize` and the order-walking oracles use neither the cache nor the
-memo.
+collection's size, and takes each step from `_step`, a cache of checked
+`combine` results.  It memoizes every subproblem in `_MEMO` under one
+flat key (r, t1, t2, strength, type, count, type, count, ...).  A solved
+entry is the pair (first type, the rest's entry): it shares the child's
+own memo value instead of copying its order, so the memo grows linearly
+with the subproblems it holds.  `is_erasable` unrolls the chain once;
+`erasable_fast` never does.  `combine`, `normalize` and the order-walking
+oracles use neither the cache nor the memo.
 """
 
 from __future__ import annotations
@@ -191,42 +195,56 @@ def _step(r: int, t1: int, t2: int, strength: str, mt: ModType) -> Optional[tupl
     return None if nxt is None else nxt[:3]
 
 
-# memo shared across calls: pure mathematics, never invalidated
+# memo shared across calls: pure mathematics, never invalidated.  A key is
+# (r, t1, t2, strength, type, count, type, count, ...), the types sorted; a
+# value is None or the chain (first type, the rest's value), ending in ().
 _MEMO: dict = {}
 _OPEN = object()  # a memo miss: the subproblem has to be searched
 
 
-def _search_from(state: tuple, remaining: tuple, r: int) -> Optional[tuple]:
-    """Witness order (tuple of ModTypes) completing `remaining` from the
-    twist-free `state`, or None.  Depth-first over an explicit stack, so the
-    collection's size is not bounded by the recursion limit; every opened
-    subproblem is memoized on (r, state, remaining) when it closes."""
-    frames = []  # [memo key, state, remaining, index of the type tried last]
+def _subproblem(key: tuple, j: int, state: tuple) -> tuple:
+    """The memo key after one copy of the type key[j] is placed and the
+    twist-free state has become `state`."""
+    n = key[j + 1]
+    if n > 1:
+        return (key[0], *state, *key[4:j], key[j], n - 1, *key[j + 2 :])
+    return (key[0], *state, *key[4:j], *key[j + 2 :])
+
+
+def _search_from(key: tuple) -> Optional[tuple]:
+    """Witness chain completing the subproblem `key` (a `_MEMO` key): None,
+    or (type placed next, the chain of the rest), ending in ().
+    Depth-first over an explicit stack, so the collection's size is not
+    bounded by the recursion limit; every opened subproblem is memoized when
+    it closes.  A solved entry holds its first type and the child's own
+    memo value, not a copy of the child's order, so each entry has a fixed
+    size."""
+    r, state = key[0], key[1:4]
+    frames = []  # [memo key, its state, offset in the key of the type tried last]
     while True:
-        # open the subproblem (state, remaining), unless it is answered at once
-        if remaining:
-            key = (r, *state, remaining)
+        # open the subproblem, unless it is answered at once
+        if len(key) > 4:
             tail = _MEMO.get(key, _OPEN)
             if tail is _OPEN:
-                frames.append([key, state, remaining, -1])
+                frames.append([key, state, 2])
                 tail = None
         else:
             tail = () if _accepting(state) else None
         # hand `tail` down the stack until a frame has another type to try
         while frames:
             frame = frames[-1]
-            key, st, rem, i = frame
+            key, state, j = frame
             if tail is not None:
-                tail = (rem[i][0],) + tail
+                tail = (key[j], tail)
             else:
                 nxt = None
-                for i in range(i + 1, len(rem)):
-                    nxt = _step(r, *st, rem[i][0])
+                for j in range(j + 2, len(key), 2):
+                    nxt = _step(r, *state, key[j])
                     if nxt is not None:
                         break
                 if nxt is not None:
-                    frame[3] = i
-                    state, remaining = nxt, _remove_one(rem, i)
+                    frame[2] = j
+                    key, state = _subproblem(key, j, nxt), nxt
                     break
             _MEMO[key] = tail
             frames.pop()
@@ -235,32 +253,38 @@ def _search_from(state: tuple, remaining: tuple, r: int) -> Optional[tuple]:
 
 
 def _erase_search(c: ModCollection, r: int) -> Optional[tuple]:
-    """Witness order (tuple of ModTypes) for the whole collection, or None;
+    """Witness chain (see `_search_from`) for the whole collection, or None;
     the first point placed is only normalized."""
     _check_types(c, r)
-    remaining = tuple(sorted((mt, n) for mt, n in c.items() if n > 0))
-    if not remaining:
-        return ()
-    for i, (mt, _) in enumerate(remaining):
+    flat = tuple(x for item in sorted((mt, n) for mt, n in c.items() if n > 0) for x in item)
+    for j in range(0, len(flat), 2):
+        mt = flat[j]
         first = normalize(AccState(mt.t1, mt.t2, mt.strength, 0), r)[:3]
-        tail = _search_from(first, _remove_one(remaining, i), r)
+        tail = _search_from(_subproblem((r, *first, *flat), j + 4, first))
         if tail is not None:
-            return (mt,) + tail
-    return None
+            return (mt, tail)
+    return None if flat else ()
 
 
 def is_erasable(c: ModCollection, r: int) -> tuple[bool, Optional[list[str]]]:
     """Search all specialization orders for one ending with t2 = 0 and a
     strongly general subspace.  Returns (verdict, witness order or None);
-    the empty collection is vacuously erasable."""
-    order = _erase_search(c, r)
+    the empty collection is vacuously erasable.  The witness chain is
+    unrolled here, once."""
+    chain = _erase_search(c, r)
+    if chain is None:
+        return False, None
     names = {mt: type_name(mt) for mt in c}  # once per distinct type
-    return (False, None) if order is None else (True, [names[mt] for mt in order])
+    order = []
+    while chain:
+        mt, chain = chain
+        order.append(names[mt])
+    return True, order
 
 
 def erasable_fast(c: ModCollection, r: int) -> bool:
-    """Boolean-only entry point (used by the reduction rules): no witness
-    names are built."""
+    """Boolean-only entry point (used by the reduction rules): the witness
+    chain is never unrolled."""
     return _erase_search(c, r) is not None
 
 

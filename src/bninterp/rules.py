@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .core import InvariantViolated, Tuple, delta_numerator, is_good
@@ -645,10 +646,30 @@ _RULES: dict[RuleId, _Rule] = {
 }
 
 
-def _parameter_violation(fields: tuple[str, ...], p: RuleParams) -> Optional[str]:
-    """Why `p` does not set exactly `fields`; a false any_ni_is_2 is unset."""
-    if not fields and p == _NO_PARAMS:  # most rule nodes: one comparison
+def _field_mask(fields: tuple[str, ...]) -> tuple[Optional[Callable], tuple]:
+    """(unread, mask) of a rule that reads `fields`.  `p` sets exactly those
+    fields when one comparison holds: `p == mask` (the defaults) if the rule
+    reads no field, else `(unread(p), p.count(None)) == mask`, that is,
+    every other field equals its default and no field the rule reads is None."""
+    if not fields:
+        return None, _NO_PARAMS
+    unread = itemgetter(*(i for i, name in enumerate(RuleParams._fields) if name not in fields))
+    defaults = unread(_NO_PARAMS)
+    return unread, (defaults, defaults.count(None))
+
+
+_FIELD_MASKS = {rule: _field_mask(spec.fields) for rule, spec in _RULES.items()}
+
+
+def _parameter_violation(rule: RuleId, p: RuleParams) -> Optional[str]:
+    """Why `p` does not set exactly the fields `rule` reads; a false
+    any_ni_is_2 is unset.  A valid `p` passes on the mask comparison alone,
+    which takes an unread any_ni_is_2 equal to False (0 as well) as unset,
+    for every rule as for one that reads no field."""
+    unread, mask = _FIELD_MASKS[rule]
+    if (p if unread is None else (unread(p), p.count(None))) == mask:
         return None
+    fields = _RULES[rule].fields
     for name, v in zip(p._fields, p):
         if name in fields:
             if v is None:
@@ -662,7 +683,7 @@ def apply(rule: RuleId, t: Tuple, p: RuleParams = _NO_PARAMS) -> list[Tuple]:
     """Check that `p` sets exactly the fields `rule` reads and every hypothesis
     of `rule` at `t`; return the subgoal list or raise PreconditionViolated."""
     spec = _RULES[rule]
-    why = _parameter_violation(spec.fields, p) or spec.check(t, p)
+    why = _parameter_violation(rule, p) or spec.check(t, p)
     if why is not None:
         raise PreconditionViolated(why)
     return spec.goals(t, p)

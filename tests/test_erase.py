@@ -2,9 +2,11 @@
 cases, conservation, and the memoized search against its brute-force
 oracle."""
 
+import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -298,3 +300,84 @@ def test_witness_orders_are_pinned():
 def test_every_entry_point_refuses_r_below_3(decide, coll, r):
     with pytest.raises(CalculusError, match="calculus needs r >= 3"):
         decide(coll, r)
+
+
+def _unrolled(chain):
+    order = []
+    while chain:
+        mt, chain = chain
+        order.append(mt)
+    return order
+
+
+def _check_memo_chains(memo):
+    # a solved entry (r, t1, t2, strength, type, count, ...) -> (mt, tail):
+    # combine places mt, and tail is the memo value of what is left, the
+    # same object (or () once nothing is left and the state accepts)
+    solved = 0
+    for key, value in memo.items():
+        if value is None:
+            continue
+        mt, tail = value
+        assert type(mt) is ModType, (key, value)
+        r, state, rem = key[0], AccState(*key[1:4], 0), Counter(dict(zip(key[4::2], key[5::2])))
+        assert rem[mt] > 0, (key, mt)
+        nxt = combine(state, mt, r)
+        assert nxt is not None, (key, mt)
+        rem[mt] -= 1
+        rest = tuple(x for item in sorted((+rem).items()) for x in item)
+        if rest:
+            assert tail is memo[(r, *nxt[:3], *rest)], key
+        else:
+            assert tail == () and nxt.t2 == 0 and nxt.strength == STRONG, key
+        solved += 1
+    return solved
+
+
+def test_the_memo_grows_linearly_and_holds_shared_witness_chains(monkeypatch):
+    # each solved subproblem stores its first type and its child's chain, so
+    # doubling a one-type collection about doubles the search's peak memory
+    peaks = []
+    for n in (1_500, 3_000):
+        monkeypatch.setattr(erase, "_MEMO", {})
+        # a full collection empties the interpreter's free lists, so every
+        # object the search makes is traced, whatever ran before
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ok, witness = is_erasable(make_collection(s10=n), 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert ok and witness == ["s1,0"] * n
+    assert peaks[1] <= 2.5 * peaks[0], peaks
+    # the root's chain unrolls to the witness after its first point
+    s10 = ModType(1, 0, STRONG)
+    first = normalize(AccState(1, 0, STRONG, 0), 3)[:3]
+    root = erase._MEMO[(3, *first, s10, 2_999)]
+    assert [type_name(mt) for mt in [s10, *_unrolled(root)]] == witness
+    assert _check_memo_chains(erase._MEMO) >= 2_999
+    # and on mixed collections, whose keys hold several types
+    monkeypatch.setattr(erase, "_MEMO", {})
+    for size in range(7):
+        for combo in itertools.combinations_with_replacement(SOURCE_CATALOGUE, size):
+            for r in range(3, 8):
+                is_erasable(Counter(combo), r)
+    assert _check_memo_chains(erase._MEMO) > 1_000
+
+
+def test_a_witness_does_not_depend_on_how_warm_the_memo_is(monkeypatch):
+    # every catalogue multiset of size <= 8 at r 3-9, decided from a fresh
+    # memo once forward and once in reverse: each later call meets a memo
+    # the other run filled differently
+    cases = [
+        (combo, r)
+        for size in range(9)
+        for combo in itertools.combinations_with_replacement(SOURCE_CATALOGUE, size)
+        for r in range(3, 10)
+    ]
+    runs = []
+    for order in (cases, cases[::-1]):
+        monkeypatch.setattr(erase, "_MEMO", {})
+        runs.append({(combo, r): is_erasable(Counter(combo), r) for combo, r in order})
+    assert runs[0] == runs[1]

@@ -658,3 +658,38 @@ def test_a_single_instance_rule_refuses_an_out_of_range_parameter_by_its_check(m
     monkeypatch.setitem(rules_mod._RULES, RuleId.TWO_PROJ, spec._replace(params=lambda t: RuleParams(eps=eps)))
     assert list(enumerate_instances(RuleId.TWO_PROJ, t)) == []
     assert first_instance(RuleId.TWO_PROJ, t, lambda s: True) is None
+
+
+def _field_loop(fields, p):
+    # the reference: every field in turn, the first offender named
+    for name, v in zip(p._fields, p):
+        if name in fields:
+            if v is None:
+                return f"missing parameter {name}"
+        elif v is not None and v is not False:
+            return f"parameter {name} does not belong to this rule"
+    return None
+
+
+def test_the_field_mask_agrees_with_a_loop_over_the_fields():
+    # valid params with some fields overwritten; any_ni_is_2 takes only
+    # None, False or True, as the certificate reader admits
+    rng = random.Random(14)
+    values = (None, False, True, 0, 1, -1, 7)
+    valid = 0
+    for rule, spec in rules_mod._RULES.items():
+        for _ in range(2_000):
+            p = RuleParams(**{name: rng.randint(0, 9) for name in spec.fields if name != "any_ni_is_2"})
+            if "any_ni_is_2" in spec.fields:
+                p = p._replace(any_ni_is_2=rng.random() < 0.5)
+            p = p._replace(
+                **{
+                    name: rng.choice(values[:3] if name == "any_ni_is_2" else values)
+                    for name in RuleParams._fields
+                    if rng.random() < 0.1
+                }
+            )
+            want = _field_loop(spec.fields, p)
+            assert rules_mod._parameter_violation(rule, p) == want, (rule, p)
+            valid += want is None
+    assert valid > 5_000
