@@ -110,9 +110,9 @@ _WORKERS = click.option(
 
 
 class _Main(click.Group):
-    """The command group.  A usage error (unknown option or command, missing
-    or malformed argument) is an input error and exits 1: click's own exit
-    code for it, 2, means a negative answer here."""
+    """The command group.  Usage errors (unknown option or command, missing
+    or malformed argument; click's code 2 means a negative answer here) and
+    a command's DomainError or CalculusError are input errors: exit 1."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -127,6 +127,8 @@ class _Main(click.Group):
         except click.UsageError as e:
             e.exit_code = 1
             raise
+        except (DomainError, CalculusError) as e:
+            _fail_input(str(e))
 
 
 @click.group(cls=_Main)
@@ -146,10 +148,7 @@ def check(d, g, r, char, fmt):
     """Decide whether interpolation holds for general curves of degree D,
     genus G in projective R-space.  Exit 0 when it holds, 2 on an
     exception, 1 when no such curve exists."""
-    try:
-        verdict = bn_interpolation(d, g, r, char=char)
-    except DomainError as e:
-        _fail_input(str(e))
+    verdict = bn_interpolation(d, g, r, char=char)
     _emit(
         fmt,
         {"d": d, "g": g, "r": r, "char": char, "holds": verdict.holds, "reason": verdict.reason},
@@ -178,10 +177,7 @@ def good(d, g, r, ell, m, fmt):
 @_FORMAT
 def delta_cmd(d, g, r, ell, m, fmt):
     """Print the exact defect ratio of a tuple as a reduced fraction."""
-    try:
-        value = delta(Tuple(d, g, r, ell, m))
-    except DomainError as e:
-        _fail_input(str(e))
+    value = delta(Tuple(d, g, r, ell, m))
     _emit(fmt, {"tuple": [d, g, r, ell, m], "delta": [value.numerator, value.denominator]}, str(value), 0)
 
 
@@ -192,10 +188,7 @@ def max_points_cmd(d, g, r, fmt):
     """Largest number of general points through which a curve of the given
     kind passes.  Exit 2 when the count is exceptional (lower than the
     dimension count predicts)."""
-    try:
-        ans = max_points(d, g, r)
-    except DomainError as e:
-        _fail_input(str(e))
+    ans = max_points(d, g, r)
     text = f"predicted {ans.predicted_n}"
     if ans.is_exception:
         text += f"; exception, upper bound {ans.exception_upper_bound}"
@@ -282,8 +275,8 @@ def sporadic(rmax, disabled, workers, csv_path, expected, fmt):
 @_FORMAT
 def thm14(rmax, rmin, workers, fmt):
     """Confirm that for every r in [RMIN, RMAX] the sweep rules dispatch
-    all good box tuples and the peeling moves reach everything outside.
-    Exit 3 when anything is left uncovered."""
+    all good box tuples; good shell tuples outside the box are counted, not
+    reduced.  Exit 3 when a box tuple is left uncovered."""
     if rmin < 14:
         _fail_input("rmin below 14 is covered by the sporadic sweep instead")
     if rmax < rmin:
@@ -398,10 +391,7 @@ def erasable(r, strong, weak, fmt):
         coll = _parse_mods(strong, weak)
     except ValueError as e:
         _fail_input(str(e))
-    try:
-        ok, witness = is_erasable(coll, r)
-    except CalculusError as e:
-        _fail_input(str(e))
+    ok, witness = is_erasable(coll, r)
     text = ("erasable: " + (" -> ".join(witness) if witness else "(empty)")) if ok else "not erasable"
     _emit(fmt, {"r": r, "erasable": ok, "witness": witness}, text, 0 if ok else 2)
 

@@ -254,7 +254,9 @@ class Certificate:
             jd = _field(row, "justification")
             kind = _field(jd, "kind")
             if kind == "axiom":
-                nodes[t] = Axiom(tag=_field(jd, "tag"))
+                if type(tag := _field(jd, "tag")) is not str:
+                    raise ValueError(f"tag must be a string, got {type(tag).__name__}")
+                nodes[t] = Axiom(tag)
             elif kind == "rule":
                 proviso = jd.get("proviso")
                 if proviso is not None and type(proviso) is not str:
@@ -549,10 +551,11 @@ class Thm14Report:
     examined: int
     uncovered: list  # box tuples no sweep rule dispatches
     outside_checked: int
-    outside_uncovered: list  # shell tuples missing even a peeling precondition
+    outside_uncovered: list  # shell tuples missing a peeling precondition: never any
 
 
 def _covers_outside_box(t: Tuple) -> bool:
+    # always true: outside the box (g <= r-1, d <= g+2r-1, m <= r-2+[g=0]) g >= r, d >= g+2r or m >= r-1
     d, g, r, ell, m = t
     return d >= g + 2 * r - 1 or g >= r or m >= r - 1
 
@@ -576,8 +579,8 @@ def _thm14_one_r(r: int) -> tuple:
 
 def verify_thm14(r_max: int, r_min: int = 14, workers: int = 1) -> Thm14Report:
     """Check that every good box tuple with r_min <= r <= r_max (off the
-    delta = 1 locus) is dispatched by some sweep rule, and that every good
-    tuple in a shell outside the box satisfies a peeling precondition."""
+    delta = 1 locus) is dispatched by some sweep rule, and count the good
+    shell tuples outside it, which meet a peeling precondition by definition."""
     rows = _pmap(_thm14_one_r, list(range(r_min, r_max + 1)), workers)
     return Thm14Report(
         r_min, r_max, sum(row[0] for row in rows), [t for row in rows for t in row[1]],

@@ -1,13 +1,14 @@
 """Reduction rules: checked implications from one tuple to subgoal tuples.
 
-Each rule has one check, which returns the first violated hypothesis of
-its inductive argument (or None), a subgoal formula and the RuleParams
-fields it reads; the three rules with twist heights share one hypothesis
-block, which implies ell-bar >= 0 without a clause for it.  `apply`
-raises a parameter set other than those fields, or the violated
-hypothesis, as PreconditionViolated and otherwise returns the subgoal
-list; it is the validator `verify_certificate` trusts.  The rule layer
-never decides whether a subgoal "holds" -- acceptance is the caller's.
+The rules are moves in P^r for r >= 3; rank <= 2 is the SmallR base case,
+and the enumerators give nothing there.  Each rule has one check, which
+returns the first violated hypothesis of its inductive argument (or None),
+a subgoal formula and the RuleParams fields it reads; the three rules with
+twist heights share one hypothesis block, which implies ell-bar >= 0
+without a clause for it.  `apply` raises a parameter set other than those
+fields, then r < 3, then the violated hypothesis, as PreconditionViolated
+and otherwise returns the subgoals; `verify_certificate` trusts it.  The
+rule layer never decides whether a subgoal "holds": that is the caller's.
 
 All delta-window comparisons |delta - X| <= 1 - c/(r-1) are evaluated in
 cross-multiplied integer form |N - X(r-1)| <= (r-1) - c, where N is the
@@ -83,23 +84,6 @@ class RuleId(Enum):
     # members are singletons, so identity is equality; Enum's own hash
     # goes through a Python-level method on every dict lookup
     __hash__ = object.__hash__
-
-
-# search order: cheapest guards first; affects only reported witnesses
-RULE_ORDER = (
-    RuleId.GATHER_LINES,
-    RuleId.PEEL_ONION,
-    RuleId.PANCAKE_ONIONS,
-    RuleId.M0_DELTA_2,
-    RuleId.M0_DELTA_4,
-    RuleId.M0_DELTA_35,
-    RuleId.TWO_PROJ,
-    RuleId.DELTA_5,
-    RuleId.DELTA_1_STEP,
-    RuleId.MASTER,
-    RuleId.MASTER_111,
-    RuleId.MASTER_ERASABLE,
-)
 
 
 class RuleParams(NamedTuple):
@@ -200,8 +184,6 @@ def _check_twisted_heights(t: Tuple, p: RuleParams, gp: int) -> Optional[str]:
     subgoal genus g' (g' = g for the master family)."""
     d, g, r, ell, m = t
     lp, mp, dp, sn = p.ell_prime, p.m_prime, p.d_prime, p.sum_n
-    if r < 3:
-        return "r < 3"
     if not 0 <= lp <= ell:
         return "ell' out of range"
     if r == 3 and mp != 0:
@@ -293,8 +275,6 @@ def _goals_master_erasable(t: Tuple, p: RuleParams) -> list[Tuple]:
 
 
 def _check_gather_lines(t: Tuple, p: RuleParams) -> Optional[str]:
-    if t.r < 3:
-        return "r < 3"
     if t.d < t.g + 2 * t.r - 1:
         return "degree below g + 2r - 1"
     return None
@@ -306,8 +286,6 @@ def _goals_gather_lines(t: Tuple, p: RuleParams) -> list[Tuple]:
 
 
 def _check_peel_onion(t: Tuple, p: RuleParams) -> Optional[str]:
-    if t.r < 3:
-        return "r < 3"
     if t.g < t.r:
         return "genus below r"
     if not is_good(t).is_good:
@@ -321,8 +299,6 @@ def _goals_peel_onion(t: Tuple, p: RuleParams) -> list[Tuple]:
 
 
 def _check_pancake_onions(t: Tuple, p: RuleParams) -> Optional[str]:
-    if t.r < 3:
-        return "r < 3"
     if t.m < t.r - 1:
         return "m below r - 1"
     return None
@@ -336,8 +312,6 @@ def _goals_pancake_onions(t: Tuple, p: RuleParams) -> list[Tuple]:
 def _check_two_proj(t: Tuple, p: RuleParams) -> Optional[str]:
     d, g, r, ell, m = t
     eps = p.eps
-    if r < 3:
-        return "r < 3"
     if ell != 0:
         return "ell must be 0"
     if m != 1:
@@ -372,8 +346,6 @@ def _goals_delta_5(t: Tuple, p: RuleParams) -> list[Tuple]:
 
 
 def _check_m0_delta_2(t: Tuple, p: RuleParams) -> Optional[str]:
-    if t.r < 3:
-        return "r < 3"
     if t.m != 0:
         return "m must be 0"
     if t.g < 1:
@@ -431,8 +403,6 @@ def _goals_m0_delta_4(t: Tuple, p: RuleParams) -> list[Tuple]:
 
 def _check_delta_1_step(t: Tuple, p: RuleParams) -> Optional[str]:
     d, g, r, ell, m = t
-    if r < 3:
-        return "r < 3"
     if ell != 0 or m != 0:
         return "ell and m must be 0"
     if 2 * d + 2 * g != 3 * r - 1:
@@ -485,8 +455,6 @@ def _master_family_candidates(
     m-bar <= rho(d'-1, g, r-1).  Both are lower bounds on d', so only
     candidates with a subgoal that is not good are skipped."""
     d, g, r, ell, m = t
-    if r < 3:
-        return
     k = r - 1
     n = delta_numerator(t)
     # |n - Xk| <= k - 1 holds X = x0 = ceil((n - k + 1)/k), and x0 + 1 if x0 k < n
@@ -559,8 +527,6 @@ def _master_erasable_candidates(t: Tuple) -> Iterator[tuple[RuleParams, list[Tup
     parity of X is fixed and sum_n is linear in d'.  Erasability is decided
     only for cells whose d' interval is not empty."""
     d, g, r, ell, m = t
-    if r < 3:
-        return
     k = r - 1
     n = delta_numerator(t)
     centres = (_window_centre(n, k, k - 1, 0), _window_centre(n, k, k - 1, 1))
@@ -625,7 +591,17 @@ def _master_family_rule(offset: int, strict: bool, formula: Callable) -> _Rule:
     )
 
 
+# in search order: cheapest guards first; affects only reported witnesses
 _RULES: dict[RuleId, _Rule] = {
+    RuleId.GATHER_LINES: _Rule(_check_gather_lines, _goals_gather_lines),
+    RuleId.PEEL_ONION: _Rule(_check_peel_onion, _goals_peel_onion),
+    RuleId.PANCAKE_ONIONS: _Rule(_check_pancake_onions, _goals_pancake_onions),
+    RuleId.M0_DELTA_2: _Rule(_check_m0_delta_2, _goals_m0_delta_2),
+    RuleId.M0_DELTA_4: _Rule(_check_m0_delta_4, _goals_m0_delta_4),
+    RuleId.M0_DELTA_35: _Rule(_check_m0_delta_35, _goals_m0_delta_35, ("eps",), partial(_window_eps, 4, 3)),
+    RuleId.TWO_PROJ: _Rule(_check_two_proj, _goals_two_proj, ("eps",), partial(_window_eps, 3, 1)),
+    RuleId.DELTA_5: _Rule(_check_delta_5, _goals_delta_5, ("k",), _delta_5_params),
+    RuleId.DELTA_1_STEP: _Rule(_check_delta_1_step, _goals_delta_1_step),
     RuleId.MASTER: _master_family_rule(0, False, _master_goals),
     RuleId.MASTER_111: _master_family_rule(1, True, _master_111_goals),
     RuleId.MASTER_ERASABLE: _Rule(
@@ -634,16 +610,8 @@ _RULES: dict[RuleId, _Rule] = {
         ("ell_prime", "m_prime", "m_dprime", "d_prime", "g_prime", "eps_in", "eps_out", "sum_n", "any_ni_is_2"),
         candidates=_master_erasable_candidates,
     ),
-    RuleId.GATHER_LINES: _Rule(_check_gather_lines, _goals_gather_lines),
-    RuleId.PEEL_ONION: _Rule(_check_peel_onion, _goals_peel_onion),
-    RuleId.PANCAKE_ONIONS: _Rule(_check_pancake_onions, _goals_pancake_onions),
-    RuleId.TWO_PROJ: _Rule(_check_two_proj, _goals_two_proj, ("eps",), partial(_window_eps, 3, 1)),
-    RuleId.DELTA_5: _Rule(_check_delta_5, _goals_delta_5, ("k",), _delta_5_params),
-    RuleId.M0_DELTA_2: _Rule(_check_m0_delta_2, _goals_m0_delta_2),
-    RuleId.M0_DELTA_35: _Rule(_check_m0_delta_35, _goals_m0_delta_35, ("eps",), partial(_window_eps, 4, 3)),
-    RuleId.M0_DELTA_4: _Rule(_check_m0_delta_4, _goals_m0_delta_4),
-    RuleId.DELTA_1_STEP: _Rule(_check_delta_1_step, _goals_delta_1_step),
 }
+RULE_ORDER = tuple(_RULES)
 
 
 def _field_mask(fields: tuple[str, ...]) -> tuple[Optional[Callable], tuple]:
@@ -680,10 +648,10 @@ def _parameter_violation(rule: RuleId, p: RuleParams) -> Optional[str]:
 
 
 def apply(rule: RuleId, t: Tuple, p: RuleParams = _NO_PARAMS) -> list[Tuple]:
-    """Check that `p` sets exactly the fields `rule` reads and every hypothesis
-    of `rule` at `t`; return the subgoal list or raise PreconditionViolated."""
+    """Check that `p` sets exactly the fields `rule` reads, then r >= 3, then
+    every hypothesis of `rule` at `t`; return the subgoals or raise PreconditionViolated."""
     spec = _RULES[rule]
-    why = _parameter_violation(rule, p) or spec.check(t, p)
+    why = _parameter_violation(rule, p) or ("r < 3" if t.r < 3 else spec.check(t, p))
     if why is not None:
         raise PreconditionViolated(why)
     return spec.goals(t, p)
@@ -724,6 +692,8 @@ def enumerate_instances(
     whose every subgoal satisfies `accept`, in canonical (lexicographically
     sorted parameter) order.  For a rule with many instances `accept` runs
     before the check (see the module docstring)."""
+    if t.r < 3:
+        return
     spec = _RULES[rule]
     if spec.candidates is None:
         hit = _single_instance(spec, t, accept)
@@ -742,6 +712,8 @@ def first_instance(
     None.  `accept` must reject every tuple that is not good: the master
     family then skips, in each (ell', m') cell, the d' below the least one
     whose first subgoal can be good."""
+    if t.r < 3:
+        return None
     spec = _RULES[rule]
     if spec.candidates is None:
         return _single_instance(spec, t, accept)

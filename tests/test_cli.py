@@ -200,6 +200,12 @@ def test_readers_refuse_a_non_array_axioms_list_and_a_non_string_proviso(runner,
     cert.write_text(json.dumps(doc))
     res = run(runner, "verify", cert)
     assert res.exit_code == 1 and "certificate file: proviso must be a string, got int" in res.output, res.output
+    assert run(runner, "certify", 13, 2, 6, 1, 0, "--json", cert).exit_code == 0
+    doc = json.loads(cert.read_text())
+    next(row for row in doc["nodes"] if row["justification"]["kind"] == "axiom")["justification"]["tag"] = 5
+    cert.write_text(json.dumps(doc))
+    res = run(runner, "verify", cert)
+    assert res.exit_code == 1 and "certificate file: tag must be a string, got int" in res.output, res.output
 
 
 def test_sporadic_csv_bytes_are_pinned(runner, tmp_path):

@@ -322,6 +322,14 @@ def test_thm14_first_rank_is_covered():
     assert rep.outside_checked > 1000
 
 
+def test_the_shell_check_holds_on_every_tuple_outside_the_box():
+    # the box is g <= r-1, d <= g+2r-1, m <= r-2+[g=0], so a tuple outside it
+    # meets a peeling precondition by definition: outside_uncovered is empty
+    outside = [t for r in range(3, 26) for t, in_box in prover._grid(r) if not in_box]
+    assert len(outside) == 493_218
+    assert [t for t in outside if not prover._covers_outside_box(t)] == []
+
+
 def test_thm14_report_at_rank_16_is_pinned():
     rep = verify_thm14(r_max=16)
     assert (rep.examined, rep.outside_checked) == (78_048, 50_157)
@@ -353,6 +361,7 @@ def test_certificate_json_schema_takes_integers_only():
     doc = certify(Tuple(13, 2, 6, 1, 0)).to_json()
     assert Certificate.from_json(copy.deepcopy(doc)).nodes == Certificate.from_json(doc).nodes
     m = next(i for i, row in enumerate(doc["nodes"]) if row["justification"].get("rule") == "master")
+    a = next(i for i, row in enumerate(doc["nodes"]) if row["justification"]["kind"] == "axiom")
 
     def edited(path, value):
         bad = copy.deepcopy(doc)
@@ -370,6 +379,8 @@ def test_certificate_json_schema_takes_integers_only():
         (["nodes", m, "justification", "params", "any_ni_is_2"], 0),  # int flag
         (["version"], True),  # bool version
         (["version"], 1.0),  # float version
+        (["nodes", a, "justification", "tag"], 5),  # int tag
+        (["nodes", a, "justification", "tag"], {"x": [1]}),  # object tag
     ]:
         with pytest.raises(ValueError):
             Certificate.from_json(edited(path, value))

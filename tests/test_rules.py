@@ -41,6 +41,22 @@ def test_rule_order_covers_every_rule_once():
     assert len(RULE_ORDER) == len(set(RULE_ORDER)) == len(RuleId)
 
 
+@pytest.mark.parametrize("r", [-1, 0, 1, 2])
+def test_every_rule_refuses_r_below_3_at_each_entry_point(r):
+    # r <= 2 is the SmallR base case: `apply` names it after the parameter
+    # check, whatever else the tuple breaks (the delta-5 shape with k = (r-1)/2,
+    # m = 0 with g >= 3, m >= r - 1), and neither enumerator offers an
+    # instance (nor divides by r - 1 on the way)
+    for rule in RuleId:
+        fields = rules_mod._RULES[rule].fields
+        p = RuleParams(**{name: False if name == "any_ni_is_2" else 1 for name in fields})
+        for t in (Tuple(2 * r - 1, r - 2, r, 0, 1), Tuple(5, 3, r, 0, 0), Tuple(2, 0, r, 1, r - 1)):
+            with pytest.raises(PreconditionViolated, match="^r < 3$"):
+                apply(rule, t, p)
+            assert list(enumerate_instances(rule, t)) == [], (rule, t)
+            assert first_instance(rule, t, lambda s: True) is None, (rule, t)
+
+
 # ---------------------------------------------------------------------------
 # worked instances, one per rule
 

@@ -5,6 +5,7 @@ from pathlib import Path
 from types import ModuleType
 
 import bninterp
+from bninterp import rules
 
 SOURCES = sorted(Path(bninterp.__file__).parent.glob("*.py"))
 
@@ -25,6 +26,13 @@ def test_no_logic_sits_in_an_assert():
 def test_cli_has_one_output_path():
     # every --format json report goes through one emitter
     assert (Path(bninterp.__file__).parent / "cli.py").read_text(encoding="utf-8").count('fmt == "json"') == 1
+
+
+def test_the_rule_layer_states_its_domain_and_its_order_once():
+    # r < 3 is refused at the entry points, not restated per rule, and the
+    # rule table is written in search order
+    assert Path(rules.__file__).read_text(encoding="utf-8").count('"r < 3"') == 1
+    assert rules.RULE_ORDER == tuple(rules._RULES)
 
 
 def test_all_names_each_public_export():
