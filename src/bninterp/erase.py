@@ -12,23 +12,25 @@ Rank bookkeeping: each case conserves twist*(r-1) + t1 + t2 (the Euler
 characteristic of the accumulated modification), which is checked after
 every combination step.
 
-The search for an erasable order carries twist-free (t1, t2, strength)
-states, since no case guard and no acceptance test reads the twist.  It
-walks an explicit stack, so the recursion limit never bounds a
-collection's size, and takes each step from `_step`, a cache of checked
-`combine` results.  It memoizes every subproblem in `_MEMO` under one
-flat key (r, t1, t2, strength, type, count, type, count, ...).  A solved
-entry is the pair (first type, the rest's entry): it shares the child's
-own memo value instead of copying its order, so the memo grows linearly
-with the subproblems it holds.  `is_erasable` unrolls the chain once;
-`erasable_fast` never does.  `combine`, `normalize` and the order-walking
-oracles use neither the cache nor the memo.
+The search for an erasable order works on small ints.  At rank r a type,
+or a twist-free state (no case guard and no acceptance test reads the
+twist), is the code 2(t1*r + t2) + [weak], which sorts as (t1, t2,
+strength) does; a state accepts when its code is 0 mod 2r.  The search
+enters at the start state 2r^2, whose step only normalizes, and walks an
+explicit stack, so the recursion limit never bounds a collection's size.
+`_STEPS` holds one checked `combine` per distinct (r, state, type).
+`_MEMO` holds every subproblem but the whole collection, under the flat
+key (r, state, type, count, type, count, ...).  A solved entry is the pair
+(first type, the rest's entry): it shares the child's own value, so the
+memo grows linearly.  `is_erasable` unrolls the chain once and names each
+distinct type once; `erasable_fast` never does.  `combine`, `normalize`
+and the order-walking oracles use neither table.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .core import InvariantViolated
@@ -162,15 +164,11 @@ def _check_types(c: ModCollection, r: int) -> None:
     if r < 3:
         raise CalculusError(f"calculus needs r >= 3, got r = {r}")
     for mt, n in c.items():
+        t1, t2, strength = mt
         if n < 0:
             raise CalculusError(f"negative count for {mt}")
-        if mt.t2 > mt.t1 or mt.t2 < 0 or mt.t1 > r - 1:
+        if t2 > t1 or t2 < 0 or t1 >= r or strength not in (STRONG, WEAK):
             raise CalculusError(f"type {mt} out of range for r = {r}")
-
-
-def _accepting(state: tuple) -> bool:
-    """An AccState, or a twist-free (t1, t2, strength), that ends an order."""
-    return state[1] == 0 and state[2] == STRONG
 
 
 def _place(state: Optional[AccState], mt: ModType, r: int) -> Optional[AccState]:
@@ -186,99 +184,101 @@ def _remove_one(remaining: tuple, i: int) -> tuple:
     return remaining[:i] + (((mt, n - 1),) if n > 1 else ()) + remaining[i + 1 :]
 
 
-@cache
-def _step(r: int, t1: int, t2: int, strength: str, mt: ModType) -> Optional[tuple]:
-    """The twist-free (t1, t2, strength) after combining `mt` into the state
-    (t1, t2, strength), or None at a dead branch: one checked `combine` per
-    distinct step.  No case guard reads the twist, so it is left out."""
-    nxt = combine(AccState(t1, t2, strength, 0), mt, r)
-    return None if nxt is None else nxt[:3]
+def _code(mt: tuple, r: int) -> int:
+    """The code at rank r of a type or a twist-free state (t1, t2, strength)."""
+    return 2 * (mt[0] * r + mt[1]) + (mt[2] == WEAK)
 
 
-# memo shared across calls: pure mathematics, never invalidated.  A key is
-# (r, t1, t2, strength, type, count, type, count, ...), the types sorted; a
-# value is None or the chain (first type, the rest's value), ending in ().
+def _decode(code: int, r: int) -> ModType:
+    t1, t2 = divmod(code >> 1, r)
+    return ModType(t1, t2, WEAK if code & 1 else STRONG)
+
+
+class _Steps(dict):
+    """(r, state, type) -> the state after the type is placed, or None at a
+    dead branch: one checked `combine` per distinct step, made on first use;
+    from the start state 2r^2 a step only normalizes."""
+
+    def __missing__(self, key: tuple) -> Optional[int]:
+        r, state, code = key
+        mt = _decode(code, r)
+        if state == 2 * r * r:
+            nxt = normalize(AccState(*mt, 0), r)
+        else:
+            nxt = combine(AccState(*_decode(state, r), 0), mt, r)
+        self[key] = nxt = None if nxt is None else _code(nxt, r)
+        return nxt
+
+
+_STEPS = _Steps()
+
+# memo shared across calls: pure mathematics, never invalidated.  A value is
+# None or the chain (first type, the rest's value), ending in ().
 _MEMO: dict = {}
 _OPEN = object()  # a memo miss: the subproblem has to be searched
 
 
-def _subproblem(key: tuple, j: int, state: tuple) -> tuple:
-    """The memo key after one copy of the type key[j] is placed and the
-    twist-free state has become `state`."""
-    n = key[j + 1]
-    if n > 1:
-        return (key[0], *state, *key[4:j], key[j], n - 1, *key[j + 2 :])
-    return (key[0], *state, *key[4:j], *key[j + 2 :])
-
-
 def _search_from(key: tuple) -> Optional[tuple]:
-    """Witness chain completing the subproblem `key` (a `_MEMO` key): None,
-    or (type placed next, the chain of the rest), ending in ().
-    Depth-first over an explicit stack, so the collection's size is not
-    bounded by the recursion limit; every opened subproblem is memoized when
-    it closes.  A solved entry holds its first type and the child's own
-    memo value, not a copy of the child's order, so each entry has a fixed
-    size."""
-    r, state = key[0], key[1:4]
-    frames = []  # [memo key, its state, offset in the key of the type tried last]
+    """Witness chain completing the subproblem `key` (a `_MEMO` key), or None.
+    Depth-first over an explicit stack; every opened subproblem but `key`
+    itself is memoized when it closes, its value sharing the child's."""
+    r, steps = key[0], _STEPS
+    frames = []  # [memo key, offset in the key of the type tried last]
     while True:
         # open the subproblem, unless it is answered at once
-        if len(key) > 4:
+        if len(key) > 2:
             tail = _MEMO.get(key, _OPEN)
             if tail is _OPEN:
-                frames.append([key, state, 2])
+                frames.append([key, 0])
                 tail = None
         else:
-            tail = () if _accepting(state) else None
+            tail = None if key[1] % (2 * r) else ()
         # hand `tail` down the stack until a frame has another type to try
         while frames:
             frame = frames[-1]
-            key, state, j = frame
+            key, j = frame
             if tail is not None:
                 tail = (key[j], tail)
             else:
-                nxt = None
+                state, nxt = key[1], None
                 for j in range(j + 2, len(key), 2):
-                    nxt = _step(r, *state, key[j])
+                    nxt = steps[r, state, key[j]]
                     if nxt is not None:
                         break
                 if nxt is not None:
-                    frame[2] = j
-                    key, state = _subproblem(key, j, nxt), nxt
+                    frame[1] = j
+                    key = list(key)
+                    key[1], key[j + 1] = nxt, key[j + 1] - 1
+                    if not key[j + 1]:
+                        del key[j : j + 2]
+                    key = tuple(key)
                     break
-            _MEMO[key] = tail
             frames.pop()
+            if frames:
+                _MEMO[key] = tail
         else:
             return tail
 
 
 def _erase_search(c: ModCollection, r: int) -> Optional[tuple]:
-    """Witness chain (see `_search_from`) for the whole collection, or None;
-    the first point placed is only normalized."""
+    """The whole collection's witness chain of type codes, or None."""
     _check_types(c, r)
-    flat = tuple(x for item in sorted((mt, n) for mt, n in c.items() if n > 0) for x in item)
-    for j in range(0, len(flat), 2):
-        mt = flat[j]
-        first = normalize(AccState(mt.t1, mt.t2, mt.strength, 0), r)[:3]
-        tail = _search_from(_subproblem((r, *first, *flat), j + 4, first))
-        if tail is not None:
-            return (mt, tail)
-    return None if flat else ()
+    coded = sorted([(_code(mt, r), n) for mt, n in c.items() if n > 0])
+    return _search_from((r, 2 * r * r, *chain.from_iterable(coded)))
 
 
 def is_erasable(c: ModCollection, r: int) -> tuple[bool, Optional[list[str]]]:
     """Search all specialization orders for one ending with t2 = 0 and a
     strongly general subspace.  Returns (verdict, witness order or None);
-    the empty collection is vacuously erasable.  The witness chain is
-    unrolled here, once."""
-    chain = _erase_search(c, r)
-    if chain is None:
+    the empty collection is vacuously erasable."""
+    tail = _erase_search(c, r)
+    if tail is None:
         return False, None
-    names = {mt: type_name(mt) for mt in c}  # once per distinct type
+    names = {_code(mt, r): type_name(mt) for mt in c}  # once per distinct type
     order = []
-    while chain:
-        mt, chain = chain
-        order.append(names[mt])
+    while tail:
+        code, tail = tail
+        order.append(names[code])
     return True, order
 
 
@@ -301,7 +301,7 @@ def _walk_orders(c: ModCollection, r: int, quantifier) -> bool:
 
     def rec(state: Optional[AccState], remaining: tuple) -> bool:
         if not remaining:
-            return state is None or _accepting(state)
+            return state is None or (state.t2 == 0 and state.strength == STRONG)
         return quantifier(
             nxt is not None and rec(nxt, _remove_one(remaining, i))
             for i, nxt in enumerate(_place(state, mt, r) for mt, _ in remaining)

@@ -127,7 +127,7 @@ class AxiomSet:
 
     def tag_of(self, t: Tuple) -> Optional[str]:
         d, g, r, ell, m = t
-        if r <= 2:
+        if r <= 2 and is_good(t).is_good:  # below the rules' r >= 3, for good tuples only
             return "SmallR"
         if ell == 0 and m == 0 and r == 4 * g + 1 and d == 5 * g + 1:
             return "Delta1Base"

@@ -229,6 +229,26 @@ def test_certify_rejects_bad_input(runner):
     assert "not good" in res.output
 
 
+@pytest.mark.parametrize("t", [(0, 7, 2, 3, -4), (5, 0, -1, 0, 0)])
+def test_certify_refuses_a_small_rank_tuple_that_is_not_good(runner, t):
+    res = run(runner, "certify", "--", *t)
+    assert res.exit_code == 1 and "is not good" in res.output and "not an axiom" in res.output, res.output
+
+
+@pytest.mark.parametrize("t", [(0, 7, 2, 3, -4), (5, 0, -1, 0, 0)])
+def test_verify_refuses_a_small_rank_axiom_outside_its_domain(runner, tmp_path, t):
+    # the one-node certificate `certify` wrote when every r <= 2 tuple was SmallR
+    cert = tmp_path / "c.json"
+    node = {"tuple": list(t), "justification": {"kind": "axiom", "tag": "SmallR"}}
+    cert.write_text(json.dumps({"version": 1, "root": list(t), "nodes": [node]}))
+    res = run(runner, "verify", cert)
+    assert res.exit_code == 3 and "UnknownAxiom" in res.output, res.output
+    # a good tuple of rank 2 still is one
+    node["tuple"] = [7, 0, 2, 0, 0]
+    cert.write_text(json.dumps({"version": 1, "root": [7, 0, 2, 0, 0], "nodes": [node]}))
+    assert run(runner, "verify", cert).exit_code == 0
+
+
 def test_certify_with_extra_axioms(runner, tmp_path):
     ax = tmp_path / "ax.json"
     ax.write_text(json.dumps({"axioms": [{"tuple": [9, 9, 9, 0, 0], "citation": "assumed"}]}))

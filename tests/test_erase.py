@@ -240,19 +240,50 @@ def test_order_walker_matches_a_direct_permutation_replay():
                 assert some or not every
 
 
-def test_step_cache_equals_the_checked_combine():
-    # every normalized state against every in-range type: the cached step is
-    # the checked combine with the twist dropped
-    strengths = (STRONG, WEAK)
+def _types(r):
+    """Every in-range type at rank r, sorted."""
+    return sorted(ModType(i, j, s) for i in range(r) for j in range(i + 1) for s in (STRONG, WEAK))
+
+
+def test_codes_sort_as_the_triples_and_name_the_accepting_states():
     for r in range(3, 13):
-        types = [ModType(i, j, s) for i in range(r) for j in range(i + 1) for s in strengths]
-        for t1 in range(r - 1):
-            for t2 in range(t1 + 1):
-                for s in strengths:
-                    for mt in types:
-                        want = combine(AccState(t1, t2, s, 0), mt, r)
-                        want = None if want is None else want[:3]
-                        assert erase._step(r, t1, t2, s, mt) == want, (r, t1, t2, s, mt)
+        types = _types(r)
+        codes = [erase._code(mt, r) for mt in types]
+        assert codes == sorted(set(codes)), r
+        assert [erase._decode(code, r) for code in codes] == types
+        assert all((code % (2 * r) == 0) == (mt.t2 == 0 and mt.strength == STRONG) for code, mt in zip(codes, types))
+        # the start state lies past every code and accepts, as the empty collection does
+        assert 2 * r * r > codes[-1] and 2 * r * r % (2 * r) == 0
+
+
+def test_step_cache_equals_the_checked_combine(monkeypatch):
+    # every normalized state against every in-range type: the table's step
+    # is the checked combine with the twist dropped, and from the start
+    # state it is normalize; each distinct step calls combine once
+    monkeypatch.setattr(erase, "_STEPS", erase._Steps())
+    calls = []
+    checked = erase.combine
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(erase, "combine", counted)
+    pairs = 0
+    for r in range(3, 13):
+        start = 2 * r * r
+        states = [mt for mt in _types(r) if mt.t1 < r - 1]
+        for mt in _types(r):
+            for _ in range(2):
+                assert erase._decode(erase._STEPS[r, start, erase._code(mt, r)], r) == normalize(AccState(*mt, 0), r)[:3]
+            for state in states:
+                want = checked(AccState(*state, 0), mt, r)
+                want = None if want is None else want[:3]
+                for _ in range(2):
+                    got = erase._STEPS[r, erase._code(state, r), erase._code(mt, r)]
+                    assert (None if got is None else erase._decode(got, r)) == want, (r, state, mt)
+                pairs += 1
+    assert len(calls) == pairs
 
 
 def test_oracles_read_neither_the_step_cache_nor_the_memo(monkeypatch):
@@ -261,22 +292,27 @@ def test_oracles_read_neither_the_step_cache_nor_the_memo(monkeypatch):
         for size in range(6)
         for combo in itertools.combinations_with_replacement(SOURCE_CATALOGUE, size)
     ]
-    for coll in colls:
-        for r in range(3, 8):
-            is_erasable(coll, r)
-    # every memo entry the search would read now holds the wrong answer
-    poisoned = {key: (None if tail is not None else ()) for key, tail in erase._MEMO.items()}
-    monkeypatch.setattr(erase, "_MEMO", poisoned)
+    cases = [(coll, r) for coll in colls for r in range(3, 8)]
+    for coll, r in cases:
+        is_erasable(coll, r)
+    # every memo entry and every step the search would read now holds the
+    # wrong answer, and a step the table lacks raises
+    poisoned_memo = {key: (None if tail is not None else ()) for key, tail in erase._MEMO.items()}
 
-    def no_step(*args):
-        raise RuntimeError("the step cache was read")
+    class PoisonedSteps(erase._Steps):
+        def __missing__(self, key):
+            raise RuntimeError("the step table was read")
 
-    monkeypatch.setattr(erase, "_step", no_step)
-    assert any(is_erasable(coll, r)[0] != brute_force_erasable(coll, r) for coll in colls for r in range(3, 8))
-    for coll in colls:
-        for r in range(3, 8):
-            some, every = brute_force_erasable(coll, r), erasable_under_all_orders(coll, r)
-            assert (some, every) == _replay_every_order(coll, r), (dict(coll), r)
+    poisoned_steps = PoisonedSteps({key: (None if nxt is not None else 0) for key, nxt in erase._STEPS.items()})
+    # each poisoned table alone changes what the search says
+    for memo, steps in ((poisoned_memo, erase._STEPS), ({}, poisoned_steps)):
+        monkeypatch.setattr(erase, "_MEMO", memo)
+        monkeypatch.setattr(erase, "_STEPS", steps)
+        assert any(erasable_fast(coll, r) != brute_force_erasable(coll, r) for coll, r in cases)
+    monkeypatch.setattr(erase, "_MEMO", poisoned_memo)
+    for coll, r in cases:
+        some, every = brute_force_erasable(coll, r), erasable_under_all_orders(coll, r)
+        assert (some, every) == _replay_every_order(coll, r), (dict(coll), r)
 
 
 def test_witness_orders_are_pinned():
@@ -302,32 +338,78 @@ def test_every_entry_point_refuses_r_below_3(decide, coll, r):
         decide(coll, r)
 
 
+@pytest.mark.parametrize(
+    "decide", [is_erasable, erasable_fast, brute_force_erasable, erasable_under_all_orders]
+)
+@pytest.mark.parametrize("strength", ["Strong", "bogus"])
+def test_every_entry_point_refuses_a_third_strength(decide, strength):
+    # the codes tell two strengths apart; anything else used to pass as weak
+    for coll in (Counter({ModType(1, 0, strength): 1}), Counter({ModType(1, 0, strength): 1, ModType(1, 0, STRONG): 1})):
+        with pytest.raises(CalculusError, match="out of range"):
+            decide(coll, 3)
+
+
+def test_any_in_range_types_agree_with_brute_force_from_a_cold_and_a_warm_memo(monkeypatch):
+    # random multisets of up to 7 points of any in-range type, not only the
+    # catalogue's, at r 3-12: first each from a cleared memo, then all again
+    # from the memo the first pass filled
+    rng = random.Random(16)
+    cases = []
+    for _ in range(1_000):
+        r = rng.randint(3, 12)
+        coll = Counter(rng.choices(_types(r), k=rng.randint(0, 7)))
+        cases.append((coll, r, brute_force_erasable(coll, r)))
+    assert 100 < sum(want for _, _, want in cases) < 900
+    runs = []
+    for cold in (True, False):
+        answers = []
+        for coll, r, want in cases:
+            if cold:
+                monkeypatch.setattr(erase, "_MEMO", {})
+            ok, witness = is_erasable(coll, r)
+            assert ok == want == erasable_fast(coll, r), (dict(coll), r)
+            if ok:
+                assert sorted(witness) == sorted(type_name(mt) for mt in coll.elements())
+                if witness:
+                    final = _replay(witness, r)
+                    assert final.t2 == 0 and final.strength == STRONG, (dict(coll), r, witness)
+            else:
+                assert witness is None
+            answers.append((ok, witness))
+        runs.append(answers)
+    assert runs[0] == runs[1]
+
+
 def _unrolled(chain):
     order = []
     while chain:
-        mt, chain = chain
-        order.append(mt)
+        code, chain = chain
+        order.append(code)
     return order
 
 
 def _check_memo_chains(memo):
-    # a solved entry (r, t1, t2, strength, type, count, ...) -> (mt, tail):
-    # combine places mt, and tail is the memo value of what is left, the
-    # same object (or () once nothing is left and the state accepts)
+    # a key is (r, state, type, count, ...), all ints; a solved entry is
+    # (type, tail): combine places the type, and tail is the memo value of
+    # what is left, the same object (or () once nothing is left and the
+    # state accepts).  No key is a whole collection's, at the start state.
     solved = 0
     for key, value in memo.items():
+        assert all(type(x) is int for x in key), key
+        r = key[0]
+        assert key[1] < 2 * r * r, key
         if value is None:
             continue
-        mt, tail = value
-        assert type(mt) is ModType, (key, value)
-        r, state, rem = key[0], AccState(*key[1:4], 0), Counter(dict(zip(key[4::2], key[5::2])))
-        assert rem[mt] > 0, (key, mt)
-        nxt = combine(state, mt, r)
-        assert nxt is not None, (key, mt)
-        rem[mt] -= 1
+        code, tail = value
+        assert type(code) is int, (key, value)
+        state, rem = AccState(*erase._decode(key[1], r), 0), Counter(dict(zip(key[2::2], key[3::2])))
+        assert rem[code] > 0, (key, code)
+        nxt = combine(state, erase._decode(code, r), r)
+        assert nxt is not None, (key, code)
+        rem[code] -= 1
         rest = tuple(x for item in sorted((+rem).items()) for x in item)
         if rest:
-            assert tail is memo[(r, *nxt[:3], *rest)], key
+            assert tail is memo[(r, erase._code(nxt, r), *rest)], key
         else:
             assert tail == () and nxt.t2 == 0 and nxt.strength == STRONG, key
         solved += 1
@@ -351,18 +433,22 @@ def test_the_memo_grows_linearly_and_holds_shared_witness_chains(monkeypatch):
             tracemalloc.stop()
         assert ok and witness == ["s1,0"] * n
     assert peaks[1] <= 2.5 * peaks[0], peaks
-    # the root's chain unrolls to the witness after its first point
-    s10 = ModType(1, 0, STRONG)
-    first = normalize(AccState(1, 0, STRONG, 0), 3)[:3]
-    root = erase._MEMO[(3, *first, s10, 2_999)]
-    assert [type_name(mt) for mt in [s10, *_unrolled(root)]] == witness
+    # the entry after the first point unrolls to the rest of the witness;
+    # the whole collection's own key is not stored
+    s10 = erase._code(ModType(1, 0, STRONG), 3)
+    first = erase._code(normalize(AccState(1, 0, STRONG, 0), 3), 3)
+    root = erase._MEMO[(3, first, s10, 2_999)]
+    assert [type_name(erase._decode(code, 3)) for code in [s10, *_unrolled(root)]] == witness
+    assert (3, 18, s10, 3_000) not in erase._MEMO and len(erase._MEMO) == 2_999
     assert _check_memo_chains(erase._MEMO) >= 2_999
-    # and on mixed collections, whose keys hold several types
+    # and on mixed collections, whose keys hold several types; the entry
+    # count is the one the ModType-keyed memo held for the same inputs
     monkeypatch.setattr(erase, "_MEMO", {})
     for size in range(7):
         for combo in itertools.combinations_with_replacement(SOURCE_CATALOGUE, size):
             for r in range(3, 8):
                 is_erasable(Counter(combo), r)
+    assert len(erase._MEMO) == 5_444
     assert _check_memo_chains(erase._MEMO) > 1_000
 
 

@@ -38,7 +38,10 @@ from bninterp.prover import PROVISO_DELTA1, check_workers
 def test_axiom_tags():
     ax = AxiomSet()
     assert ax.tag_of(Tuple(7, 0, 2, 0, 0)) == "SmallR"
-    assert ax.tag_of(Tuple(5, 9, 1, 2, 3)) == "SmallR"
+    # SmallR's domain is the good tuples of rank <= 2
+    assert ax.tag_of(Tuple(5, 9, 1, 2, 3)) is None
+    assert ax.tag_of(Tuple(0, 7, 2, 3, -4)) is None
+    assert ax.tag_of(Tuple(5, 0, -1, 0, 0)) is None
     assert ax.tag_of(Tuple(6, 1, 5, 0, 0)) == "Delta1Base"
     assert ax.tag_of(Tuple(16, 3, 13, 0, 0)) == "Delta1Base"
     assert ax.tag_of(Tuple(5, 2, 3, 0, 1)) == "Sporadic30"
