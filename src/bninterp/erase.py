@@ -22,9 +22,13 @@ explicit stack, so the recursion limit never bounds a collection's size.
 `_MEMO` holds every subproblem but the whole collection, under the flat
 key (r, state, type, count, type, count, ...).  A solved entry is the pair
 (first type, the rest's entry): it shares the child's own value, so the
-memo grows linearly.  `is_erasable` unrolls the chain once and names each
-distinct type once; `erasable_fast` never does.  `combine`, `normalize`
-and the order-walking oracles use neither table.
+memo grows linearly.  `is_erasable` unrolls the chain once and reads each
+name from `_NAMES[r]`, where `type_name` formats each type code once per
+rank, on first use: at most r(r+1) names, one per in-range type.
+`erasable_fast` never unrolls.  `_check_types` is the one validating pass:
+it refuses what the calculus cannot hold and gives the sorted (code, count)
+items that both the search and the oracles start from.  `combine`,
+`normalize` and the order-walking oracles use none of the tables.
 """
 
 from __future__ import annotations
@@ -160,15 +164,24 @@ def make_collection(s10=0, s11=0, s20=0, s21=0, w10=0) -> ModCollection:
     return c
 
 
-def _check_types(c: ModCollection, r: int) -> None:
+def _check_types(c: ModCollection, r: int) -> list:
+    """The sorted (type code, count) items of `c`'s nonzero counts at rank
+    r; a CalculusError for anything the calculus cannot hold."""
     if r < 3:
         raise CalculusError(f"calculus needs r >= 3, got r = {r}")
+    items = []
     for mt, n in c.items():
         t1, t2, strength = mt
+        if not (isinstance(n, int) and isinstance(t1, int) and isinstance(t2, int)):
+            raise CalculusError(f"type {mt} with count {n!r}: counts and ranks must be integers")
         if n < 0:
             raise CalculusError(f"negative count for {mt}")
         if t2 > t1 or t2 < 0 or t1 >= r or strength not in (STRONG, WEAK):
             raise CalculusError(f"type {mt} out of range for r = {r}")
+        if n:
+            items.append((_code(mt, r), n))
+    items.sort()
+    return items
 
 
 def _place(state: Optional[AccState], mt: ModType, r: int) -> Optional[AccState]:
@@ -211,6 +224,26 @@ class _Steps(dict):
 
 
 _STEPS = _Steps()
+
+
+class _Names(dict):
+    """Type code -> name at rank `r`, each formatted once, on first use."""
+
+    def __init__(self, r: int):
+        self.r = r
+
+    def __missing__(self, code: int) -> str:
+        self[code] = name = type_name(_decode(code, self.r))
+        return name
+
+
+class _NamesByRank(dict):
+    def __missing__(self, r: int) -> _Names:
+        self[r] = names = _Names(r)
+        return names
+
+
+_NAMES = _NamesByRank()  # r -> _Names(r)
 
 # memo shared across calls: pure mathematics, never invalidated.  A value is
 # None or the chain (first type, the rest's value), ending in ().
@@ -262,9 +295,7 @@ def _search_from(key: tuple) -> Optional[tuple]:
 
 def _erase_search(c: ModCollection, r: int) -> Optional[tuple]:
     """The whole collection's witness chain of type codes, or None."""
-    _check_types(c, r)
-    coded = sorted([(_code(mt, r), n) for mt, n in c.items() if n > 0])
-    return _search_from((r, 2 * r * r, *chain.from_iterable(coded)))
+    return _search_from((r, 2 * r * r, *chain.from_iterable(_check_types(c, r))))
 
 
 def is_erasable(c: ModCollection, r: int) -> tuple[bool, Optional[list[str]]]:
@@ -274,8 +305,7 @@ def is_erasable(c: ModCollection, r: int) -> tuple[bool, Optional[list[str]]]:
     tail = _erase_search(c, r)
     if tail is None:
         return False, None
-    names = {_code(mt, r): type_name(mt) for mt in c}  # once per distinct type
-    order = []
+    names, order = _NAMES[r], []
     while tail:
         code, tail = tail
         order.append(names[code])
@@ -293,8 +323,7 @@ def _walk_orders(c: ModCollection, r: int, quantifier) -> bool:
     the multiset and ask whether `quantifier` (`any` or `all`) of them ends
     accepting; a dead branch counts as failing.  Only for collections of
     total size <= 9."""
-    _check_types(c, r)
-    items = tuple(sorted((mt, n) for mt, n in c.items() if n > 0))
+    items = tuple((_decode(code, r), n) for code, n in _check_types(c, r))
     total = sum(n for _, n in items)
     if total > 9:
         raise TooLarge(f"collection of size {total} exceeds the factorial cap of 9")

@@ -20,7 +20,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Collection, Iterable, Optional, Union
 
-from .core import SPORADIC30, XEX, InvariantViolated, Tuple, is_good, measure, rho
+from .core import COUNTEREXAMPLE_TRIPLES, SPORADIC30, XEX, InvariantViolated, Tuple, is_good, measure, rho
 from .rules import (
     RULE_ORDER,
     PreconditionViolated,
@@ -134,7 +134,10 @@ class AxiomSet:
         if t in SPORADIC30:
             return "Sporadic30"
         if ell == 0 and m == 0 and r % 2 == 1 and d == 2 * r and g == r + 1:
-            return "CanonicalEven"
+            # the canonical curve of odd rank r >= 3, where it interpolates:
+            # (6, 4, 3) and (10, 6, 5) are counterexample triples
+            if r >= 3 and (d, g, r) not in COUNTEREXAMPLE_TRIPLES:
+                return "CanonicalEven"
         if t in self.extra:
             return "Extra"
         return None

@@ -249,6 +249,22 @@ def test_verify_refuses_a_small_rank_axiom_outside_its_domain(runner, tmp_path, 
     assert run(runner, "verify", cert).exit_code == 0
 
 
+@pytest.mark.parametrize("t", [(2, 2, 1, 0, 0), (6, 4, 3, 0, 0), (10, 6, 5, 0, 0)])
+def test_canonical_even_stops_where_interpolation_fails(runner, tmp_path, t):
+    # rank 1 and the counterexample triples (6, 4, 3) and (10, 6, 5) had
+    # one-node CanonicalEven certificates
+    res = run(runner, "certify", "--", *t)
+    assert res.exit_code == 1 and "not an axiom" in res.output, res.output
+    cert = tmp_path / "c.json"
+    node = {"tuple": list(t), "justification": {"kind": "axiom", "tag": "CanonicalEven"}}
+    cert.write_text(json.dumps({"version": 1, "root": list(t), "nodes": [node]}))
+    res = run(runner, "verify", cert)
+    assert res.exit_code == 3 and "UnknownAxiom" in res.output, res.output
+    # the canonical curve of rank 7 still is one
+    assert run(runner, "certify", 14, 8, 7, 0, 0, "--json", cert).exit_code == 0
+    assert run(runner, "verify", cert).exit_code == 0
+
+
 def test_certify_with_extra_axioms(runner, tmp_path):
     ax = tmp_path / "ax.json"
     ax.write_text(json.dumps({"axioms": [{"tuple": [9, 9, 9, 0, 0], "citation": "assumed"}]}))

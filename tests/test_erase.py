@@ -2,10 +2,12 @@
 cases, conservation, and the memoized search against its brute-force
 oracle."""
 
+import contextlib
 import gc
 import hashlib
 import itertools
 import random
+import signal
 import tracemalloc
 from collections import Counter
 
@@ -349,6 +351,74 @@ def test_every_entry_point_refuses_a_third_strength(decide, strength):
             decide(coll, 3)
 
 
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError in the body after `seconds`: a search that never
+    ends fails its test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "decide", [is_erasable, erasable_fast, brute_force_erasable, erasable_under_all_orders]
+)
+@pytest.mark.parametrize(
+    "coll",
+    [
+        Counter({ModType(1, 0): 1.5}),
+        Counter({ModType(1, 0): 2.0}),
+        Counter({ModType(1.0, 0.0): 2}),
+        Counter({ModType(1, 0.5): 1}),
+        Counter({ModType("1", "0"): 1}),
+    ],
+    ids=["count 1.5", "count 2.0", "float type", "half rank", "str type"],
+)
+def test_every_entry_point_refuses_a_count_or_rank_that_is_not_an_integer(decide, coll):
+    # a count of 1.5 went 0.5, -0.5, ... and never reached 0, so the search
+    # never returned; a float type broke the decoding of its witness
+    with _within(2), pytest.raises(CalculusError, match="must be integers"):
+        decide(coll, 3)
+
+
+def test_a_bool_is_an_integer_and_named_as_one():
+    # ModType(True, False) is the same dict key as ModType(1, 0), so it is
+    # decided, and its witness named, as that type
+    assert is_erasable(Counter({ModType(True, False): 2}), 3) == (True, ["s1,0", "s1,0"])
+    assert is_erasable(Counter({ModType(1, 0): True, ModType(2, 1): 1}), 3) == is_erasable(make_collection(s10=1, s21=1), 3)
+
+
+def test_the_name_table_names_each_code_at_its_own_rank(monkeypatch):
+    # one code is a different type at another rank (8 is s1,0 at rank 4 and
+    # s1,1 at rank 3), so ranks are visited from 12 down and back up; every
+    # in-range type is paired with the strong type that cancels its t1
+    monkeypatch.setattr(erase, "_NAMES", erase._NamesByRank())
+    solved = 0
+    for r in (*range(12, 2, -1), *range(3, 13)):
+        for mt in _types(r):
+            coll = Counter([mt, ModType(r - 1 - mt.t1, 0)])
+            ok, witness = is_erasable(coll, r)
+            assert ok == brute_force_erasable(coll, r), (dict(coll), r)
+            if ok:
+                assert sorted(witness) == sorted(type_name(x) for x in coll.elements()), (dict(coll), r)
+                solved += 1
+        assert len(erase._NAMES[r]) <= r * (r + 1)
+    assert solved > 1_400
+    for r in range(3, 13):
+        types = _types(r)
+        assert len(types) == r * (r + 1)
+        assert [erase._NAMES[r][erase._code(mt, r)] for mt in types] == [type_name(mt) for mt in types]
+        assert len(erase._NAMES[r]) == r * (r + 1)
+
+
 def test_any_in_range_types_agree_with_brute_force_from_a_cold_and_a_warm_memo(monkeypatch):
     # random multisets of up to 7 points of any in-range type, not only the
     # catalogue's, at r 3-12: first each from a cleared memo, then all again
@@ -366,6 +436,7 @@ def test_any_in_range_types_agree_with_brute_force_from_a_cold_and_a_warm_memo(m
         for coll, r, want in cases:
             if cold:
                 monkeypatch.setattr(erase, "_MEMO", {})
+                monkeypatch.setattr(erase, "_NAMES", erase._NamesByRank())
             ok, witness = is_erasable(coll, r)
             assert ok == want == erasable_fast(coll, r), (dict(coll), r)
             if ok:

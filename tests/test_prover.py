@@ -9,16 +9,19 @@ import json
 import pytest
 
 from bninterp import (
+    COUNTEREXAMPLE_TRIPLES,
     RULE_ORDER,
     SPORADIC30,
     XEX,
     AxiomSet,
     Axiom,
     Certificate,
+    DomainError,
     Irreducible,
     RuleApp,
     RuleId,
     Tuple,
+    bn_interpolation,
     certify,
     enumerate_instances,
     enumerate_sporadic,
@@ -46,8 +49,31 @@ def test_axiom_tags():
     assert ax.tag_of(Tuple(16, 3, 13, 0, 0)) == "Delta1Base"
     assert ax.tag_of(Tuple(5, 2, 3, 0, 1)) == "Sporadic30"
     assert ax.tag_of(Tuple(14, 8, 7, 0, 0)) == "CanonicalEven"
+    # CanonicalEven's domain is odd r >= 3 less the counterexample triples
+    assert ax.tag_of(Tuple(2, 2, 1, 0, 0)) is None
+    assert ax.tag_of(Tuple(6, 4, 3, 0, 0)) is None
+    assert ax.tag_of(Tuple(10, 6, 5, 0, 0)) is None
     assert ax.tag_of(Tuple(14, 8, 7, 0, 1)) is None
     assert ax.tag_of(Tuple(12, 6, 5, 0, 0)) is None
+
+
+def test_no_tuple_certifies_where_interpolation_fails():
+    # over (d, g, r, 0, 0) with r 1-9 and d <= 30, every (d, g, r) that
+    # bn_interpolation reports as an exception is refused by certify
+    failing = set()
+    for r in range(1, 10):
+        for d in range(1, 31):
+            for g in range(2 * d):
+                try:
+                    holds = bn_interpolation(d, g, r).holds
+                except DomainError:  # rho < 0: no such curve
+                    continue
+                if not holds:
+                    failing.add((d, g, r))
+                    assert AxiomSet().tag_of(Tuple(d, g, r, 0, 0)) is None, (d, g, r)
+                    with pytest.raises(Irreducible):
+                        certify(Tuple(d, g, r, 0, 0))
+    assert failing == COUNTEREXAMPLE_TRIPLES
 
 
 def test_extra_axioms_from_file(tmp_path):
