@@ -16,15 +16,18 @@ The search for an erasable order works on small ints.  At rank r a type,
 or a twist-free state (no case guard and no acceptance test reads the
 twist), is the code 2(t1*r + t2) + [weak], which sorts as (t1, t2,
 strength) does; a state accepts when its code is 0 mod 2r.  The search
-enters at the start state 2r^2, whose step only normalizes, and walks an
+enters at the identity state (0, 0, strong), code 0, which accepts, and
+from which `combine` places a type as `normalize` does.  It walks an
 explicit stack, so the recursion limit never bounds a collection's size.
-`_STEPS` holds one checked `combine` per distinct (r, state, type).
-`_MEMO` holds every subproblem but the whole collection, under the flat
-key (r, state, type, count, type, count, ...).  A solved entry is the pair
-(first type, the rest's entry): it shares the child's own value, so the
-memo grows linearly.  `is_erasable` unrolls the chain once and reads each
-name from `_NAMES[r]`, where `type_name` formats each type code once per
-rank, on first use: at most r(r+1) names, one per in-range type.
+`_STEPS` holds one checked `combine` per distinct (r, state, type), the
+first step included.  `_MEMO` holds every subproblem a search closed but
+its own root, under the flat key (r, state, type, count, type, count, ...);
+the whole collection's key is an ordinary one, which an earlier call may
+have stored.  A solved entry is the pair (first type, the rest's entry):
+it shares the child's own value, so the memo grows linearly.
+`is_erasable` unrolls the chain once and names each type code from
+`_NAMES[r]`, a plain dict filled from `type_name` on first use: at most
+r(r+1) names, one per in-range type.
 `erasable_fast` never unrolls.  `_check_types` is the one validating pass:
 it refuses what the calculus cannot hold and gives the sorted (code, count)
 items that both the search and the oracles start from.  `combine`,
@@ -171,7 +174,10 @@ def _check_types(c: ModCollection, r: int) -> list:
         raise CalculusError(f"calculus needs r >= 3, got r = {r}")
     items = []
     for mt, n in c.items():
-        t1, t2, strength = mt
+        try:
+            t1, t2, strength = mt
+        except (TypeError, ValueError):
+            raise CalculusError(f"type {mt!r} is not a triple (t1, t2, strength)") from None
         if not (isinstance(n, int) and isinstance(t1, int) and isinstance(t2, int)):
             raise CalculusError(f"type {mt} with count {n!r}: counts and ranks must be integers")
         if n < 0:
@@ -209,41 +215,17 @@ def _decode(code: int, r: int) -> ModType:
 
 class _Steps(dict):
     """(r, state, type) -> the state after the type is placed, or None at a
-    dead branch: one checked `combine` per distinct step, made on first use;
-    from the start state 2r^2 a step only normalizes."""
+    dead branch: one checked `combine` per distinct step, made on first use."""
 
     def __missing__(self, key: tuple) -> Optional[int]:
         r, state, code = key
-        mt = _decode(code, r)
-        if state == 2 * r * r:
-            nxt = normalize(AccState(*mt, 0), r)
-        else:
-            nxt = combine(AccState(*_decode(state, r), 0), mt, r)
+        nxt = combine(AccState(*_decode(state, r), 0), _decode(code, r), r)
         self[key] = nxt = None if nxt is None else _code(nxt, r)
         return nxt
 
 
 _STEPS = _Steps()
-
-
-class _Names(dict):
-    """Type code -> name at rank `r`, each formatted once, on first use."""
-
-    def __init__(self, r: int):
-        self.r = r
-
-    def __missing__(self, code: int) -> str:
-        self[code] = name = type_name(_decode(code, self.r))
-        return name
-
-
-class _NamesByRank(dict):
-    def __missing__(self, r: int) -> _Names:
-        self[r] = names = _Names(r)
-        return names
-
-
-_NAMES = _NamesByRank()  # r -> _Names(r)
+_NAMES: dict = {}  # r -> {type code -> type_name}, each name made on first use
 
 # memo shared across calls: pure mathematics, never invalidated.  A value is
 # None or the chain (first type, the rest's value), ending in ().
@@ -295,7 +277,7 @@ def _search_from(key: tuple) -> Optional[tuple]:
 
 def _erase_search(c: ModCollection, r: int) -> Optional[tuple]:
     """The whole collection's witness chain of type codes, or None."""
-    return _search_from((r, 2 * r * r, *chain.from_iterable(_check_types(c, r))))
+    return _search_from((r, 0, *chain.from_iterable(_check_types(c, r))))
 
 
 def is_erasable(c: ModCollection, r: int) -> tuple[bool, Optional[list[str]]]:
@@ -305,10 +287,10 @@ def is_erasable(c: ModCollection, r: int) -> tuple[bool, Optional[list[str]]]:
     tail = _erase_search(c, r)
     if tail is None:
         return False, None
-    names, order = _NAMES[r], []
+    names, order = _NAMES.setdefault(r, {}), []
     while tail:
         code, tail = tail
-        order.append(names[code])
+        order.append(names.get(code) or names.setdefault(code, type_name(_decode(code, r))))
     return True, order
 
 

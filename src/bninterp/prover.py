@@ -129,7 +129,7 @@ class AxiomSet:
         d, g, r, ell, m = t
         if r <= 2 and is_good(t).is_good:  # below the rules' r >= 3, for good tuples only
             return "SmallR"
-        if ell == 0 and m == 0 and r == 4 * g + 1 and d == 5 * g + 1:
+        if ell == 0 and m == 0 and r == 4 * g + 1 and d == 5 * g + 1 and g >= 1:  # good: d = g + r, rho = g
             return "Delta1Base"
         if t in SPORADIC30:
             return "Sporadic30"
@@ -305,9 +305,8 @@ def certify(
 
     def settle(node: Tuple, depth: int) -> Optional[bool]:
         """Whether `node` is certified (True) or known to fail (False)
-        without trying a rule; None when its rules must be tried."""
-        if depth > depth_cap:
-            raise InvariantViolated(f"reduction depth blew past {depth_cap} at {node}")
+        without trying a rule; None when its rules must be tried, which the
+        depth cap bounds."""
         if node in mm:
             return mm[node] is not None
         tag = ax.tag_of(node)
@@ -317,6 +316,8 @@ def certify(
         if not is_good(node).is_good:
             mm[node] = None
             return False
+        if depth > depth_cap:
+            raise InvariantViolated(f"reduction depth blew past {depth_cap} at {node}")
         return None
 
     def expand(node: Tuple, depth: int):
@@ -554,19 +555,14 @@ class Thm14Report:
     examined: int
     uncovered: list  # box tuples no sweep rule dispatches
     outside_checked: int
-    outside_uncovered: list  # shell tuples missing a peeling precondition: never any
-
-
-def _covers_outside_box(t: Tuple) -> bool:
-    # always true: outside the box (g <= r-1, d <= g+2r-1, m <= r-2+[g=0]) g >= r, d >= g+2r or m >= r-1
-    d, g, r, ell, m = t
-    return d >= g + 2 * r - 1 or g >= r or m >= r - 1
+    # always []: outside the box (g <= r-1, d <= g+2r-1, m <= r-2+[g=0]) g >= r, d >= g+2r or m >= r-1
+    outside_uncovered: list
 
 
 def _thm14_one_r(r: int) -> tuple:
-    """(box tuples examined, uncovered; shell tuples checked, uncovered) at rank r."""
+    """(box tuples examined, uncovered; good shell tuples outside the box) at rank r."""
     examined = checked = 0
-    uncovered, outside = [], []
+    uncovered = []
     for t, in_box in _grid(r):
         if in_box:
             if _in_sweep(t):
@@ -575,9 +571,7 @@ def _thm14_one_r(r: int) -> tuple:
                     uncovered.append(t)
         elif is_good(t).is_good:
             checked += 1
-            if not _covers_outside_box(t):
-                outside.append(t)
-    return examined, uncovered, checked, outside
+    return examined, uncovered, checked
 
 
 def verify_thm14(r_max: int, r_min: int = 14, workers: int = 1) -> Thm14Report:
@@ -587,5 +581,5 @@ def verify_thm14(r_max: int, r_min: int = 14, workers: int = 1) -> Thm14Report:
     rows = _pmap(_thm14_one_r, list(range(r_min, r_max + 1)), workers)
     return Thm14Report(
         r_min, r_max, sum(row[0] for row in rows), [t for row in rows for t in row[1]],
-        sum(row[2] for row in rows), [t for row in rows for t in row[3]],
+        sum(row[2] for row in rows), [],
     )

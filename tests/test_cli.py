@@ -265,6 +265,28 @@ def test_canonical_even_stops_where_interpolation_fails(runner, tmp_path, t):
     assert run(runner, "verify", cert).exit_code == 0
 
 
+@pytest.mark.parametrize("t", [(-4, -1, -3, 0, 0), (-9, -2, -7, 0, 0)])
+def test_delta1_base_stops_at_g_below_1(runner, tmp_path, t):
+    # (5g+1, g, 4g+1, 0, 0) with g < 0 had a one-node Delta1Base certificate
+    res = run(runner, "certify", "--", *t)
+    assert res.exit_code == 1 and "not an axiom" in res.output, res.output
+    cert = tmp_path / "c.json"
+    node = {"tuple": list(t), "justification": {"kind": "axiom", "tag": "Delta1Base"}}
+    cert.write_text(json.dumps({"version": 1, "root": list(t), "nodes": [node]}))
+    res = run(runner, "verify", cert)
+    assert res.exit_code == 3 and "UnknownAxiom" in res.output, res.output
+
+
+def test_certify_an_axiom_root_with_a_negative_depth_cap(runner, tmp_path):
+    # r + d + m + 8 = -12: this root raised InvariantViolated as a traceback
+    ax = tmp_path / "ax.json"
+    ax.write_text(json.dumps({"axioms": [{"tuple": [-20, 0, 0, 0, 0]}]}))
+    cert = tmp_path / "c.json"
+    res = run(runner, "certify", "--axioms", ax, "--json", cert, "--", -20, 0, 0, 0, 0)
+    assert res.exit_code == 0 and "1 nodes" in res.output, res.output
+    assert run(runner, "verify", "--axioms", ax, cert).exit_code == 0
+
+
 def test_certify_with_extra_axioms(runner, tmp_path):
     ax = tmp_path / "ax.json"
     ax.write_text(json.dumps({"axioms": [{"tuple": [9, 9, 9, 0, 0], "citation": "assumed"}]}))

@@ -254,14 +254,36 @@ def test_codes_sort_as_the_triples_and_name_the_accepting_states():
         assert codes == sorted(set(codes)), r
         assert [erase._decode(code, r) for code in codes] == types
         assert all((code % (2 * r) == 0) == (mt.t2 == 0 and mt.strength == STRONG) for code, mt in zip(codes, types))
-        # the start state lies past every code and accepts, as the empty collection does
-        assert 2 * r * r > codes[-1] and 2 * r * r % (2 * r) == 0
+        # the search starts at the identity state, the least code, which
+        # accepts, as the empty collection does
+        assert codes[0] == erase._code(AccState(0, 0, STRONG), r) == 0 and erase._search_from((r, 0)) == ()
+
+
+def test_the_identity_state_places_a_type_as_normalize_does():
+    # so the search may start there: the first point's step is a checked
+    # combine like every other, and the empty collection accepts
+    identity, placed = AccState(0, 0, STRONG, 0), 0
+    for r in range(3, 41):
+        for mt in _types(r):
+            assert combine(identity, mt, r) == normalize(AccState(*mt, 0), r), (r, mt)
+            placed += 1
+    assert placed == 22_952
+
+
+def test_the_first_point_passes_the_rank_check(monkeypatch):
+    # a case table that loses rank is caught on a one-point collection too
+    monkeypatch.setattr(erase, "_STEPS", erase._Steps())
+    monkeypatch.setattr(erase, "_MEMO", {})
+    monkeypatch.setattr(erase, "_case_outcomes", lambda *a: [(0, 0, STRONG, 0)])
+    with pytest.raises(InvariantViolated, match="rank conservation"):
+        erasable_fast(make_collection(s10=1), 5)
 
 
 def test_step_cache_equals_the_checked_combine(monkeypatch):
     # every normalized state against every in-range type: the table's step
-    # is the checked combine with the twist dropped, and from the start
-    # state it is normalize; each distinct step calls combine once
+    # is the checked combine with the twist dropped, and from the identity
+    # state, where the search starts, it is normalize; each distinct step,
+    # the identity's included, calls combine once
     monkeypatch.setattr(erase, "_STEPS", erase._Steps())
     calls = []
     checked = erase.combine
@@ -273,11 +295,11 @@ def test_step_cache_equals_the_checked_combine(monkeypatch):
     monkeypatch.setattr(erase, "combine", counted)
     pairs = 0
     for r in range(3, 13):
-        start = 2 * r * r
         states = [mt for mt in _types(r) if mt.t1 < r - 1]
+        assert states[0] == ModType(0, 0, STRONG)
         for mt in _types(r):
             for _ in range(2):
-                assert erase._decode(erase._STEPS[r, start, erase._code(mt, r)], r) == normalize(AccState(*mt, 0), r)[:3]
+                assert erase._decode(erase._STEPS[r, 0, erase._code(mt, r)], r) == normalize(AccState(*mt, 0), r)[:3]
             for state in states:
                 want = checked(AccState(*state, 0), mt, r)
                 want = None if want is None else want[:3]
@@ -351,6 +373,20 @@ def test_every_entry_point_refuses_a_third_strength(decide, strength):
             decide(coll, 3)
 
 
+@pytest.mark.parametrize(
+    "decide", [is_erasable, erasable_fast, brute_force_erasable, erasable_under_all_orders]
+)
+@pytest.mark.parametrize(
+    "coll",
+    [Counter({(1, 0): 1}), Counter({5: 1}), Counter({(1, 0, STRONG, 0): 1}), Counter({ModType(1, 0): 1, "s1,0": 1})],
+    ids=["pair", "int", "four items", "name"],
+)
+def test_every_entry_point_refuses_a_key_that_is_not_a_type(decide, coll):
+    # these raised ValueError or TypeError from unpacking the key
+    with pytest.raises(CalculusError, match=r"type .* is not a triple \(t1, t2, strength\)"):
+        decide(coll, 3)
+
+
 @contextlib.contextmanager
 def _within(seconds):
     """Raise TimeoutError in the body after `seconds`: a search that never
@@ -400,8 +436,8 @@ def test_the_name_table_names_each_code_at_its_own_rank(monkeypatch):
     # one code is a different type at another rank (8 is s1,0 at rank 4 and
     # s1,1 at rank 3), so ranks are visited from 12 down and back up; every
     # in-range type is paired with the strong type that cancels its t1
-    monkeypatch.setattr(erase, "_NAMES", erase._NamesByRank())
-    solved = 0
+    monkeypatch.setattr(erase, "_NAMES", {})
+    solved, named = 0, {}
     for r in (*range(12, 2, -1), *range(3, 13)):
         for mt in _types(r):
             coll = Counter([mt, ModType(r - 1 - mt.t1, 0)])
@@ -409,14 +445,17 @@ def test_the_name_table_names_each_code_at_its_own_rank(monkeypatch):
             assert ok == brute_force_erasable(coll, r), (dict(coll), r)
             if ok:
                 assert sorted(witness) == sorted(type_name(x) for x in coll.elements()), (dict(coll), r)
+                named.setdefault(r, set()).update(witness)
                 solved += 1
         assert len(erase._NAMES[r]) <= r * (r + 1)
     assert solved > 1_400
+    # each rank's table holds exactly the names its witnesses used, each
+    # formatted at that rank: every in-range type but w0,0, which no pair
+    # erases
     for r in range(3, 13):
         types = _types(r)
-        assert len(types) == r * (r + 1)
-        assert [erase._NAMES[r][erase._code(mt, r)] for mt in types] == [type_name(mt) for mt in types]
-        assert len(erase._NAMES[r]) == r * (r + 1)
+        assert len(types) == r * (r + 1) and len(named[r]) == r * (r + 1) - 1
+        assert erase._NAMES[r] == {erase._code(mt, r): type_name(mt) for mt in types if type_name(mt) in named[r]}
 
 
 def test_any_in_range_types_agree_with_brute_force_from_a_cold_and_a_warm_memo(monkeypatch):
@@ -436,7 +475,7 @@ def test_any_in_range_types_agree_with_brute_force_from_a_cold_and_a_warm_memo(m
         for coll, r, want in cases:
             if cold:
                 monkeypatch.setattr(erase, "_MEMO", {})
-                monkeypatch.setattr(erase, "_NAMES", erase._NamesByRank())
+                monkeypatch.setattr(erase, "_NAMES", {})
             ok, witness = is_erasable(coll, r)
             assert ok == want == erasable_fast(coll, r), (dict(coll), r)
             if ok:
@@ -459,16 +498,21 @@ def _unrolled(chain):
     return order
 
 
+def _root(coll, r):
+    """The whole collection's memo key: its items at the identity state."""
+    return (r, 0, *itertools.chain.from_iterable(erase._check_types(coll, r)))
+
+
 def _check_memo_chains(memo):
-    # a key is (r, state, type, count, ...), all ints; a solved entry is
-    # (type, tail): combine places the type, and tail is the memo value of
-    # what is left, the same object (or () once nothing is left and the
-    # state accepts).  No key is a whole collection's, at the start state.
+    # a key is (r, state, type, count, ...), all ints, at a normalized
+    # state; a solved entry is (type, tail): combine places the type, and
+    # tail is the memo value of what is left, the same object (or () once
+    # nothing is left and the state accepts)
     solved = 0
     for key, value in memo.items():
         assert all(type(x) is int for x in key), key
         r = key[0]
-        assert key[1] < 2 * r * r, key
+        assert normalize(AccState(*erase._decode(key[1], r), 0), r)[:3] == erase._decode(key[1], r), key
         if value is None:
             continue
         code, tail = value
@@ -505,21 +549,27 @@ def test_the_memo_grows_linearly_and_holds_shared_witness_chains(monkeypatch):
         assert ok and witness == ["s1,0"] * n
     assert peaks[1] <= 2.5 * peaks[0], peaks
     # the entry after the first point unrolls to the rest of the witness;
-    # the whole collection's own key is not stored
+    # a call on a cold memo does not store the whole collection's key
     s10 = erase._code(ModType(1, 0, STRONG), 3)
     first = erase._code(normalize(AccState(1, 0, STRONG, 0), 3), 3)
     root = erase._MEMO[(3, first, s10, 2_999)]
     assert [type_name(erase._decode(code, 3)) for code in [s10, *_unrolled(root)]] == witness
-    assert (3, 18, s10, 3_000) not in erase._MEMO and len(erase._MEMO) == 2_999
+    assert (3, 0, s10, 3_000) not in erase._MEMO and len(erase._MEMO) == 2_999
     assert _check_memo_chains(erase._MEMO) >= 2_999
     # and on mixed collections, whose keys hold several types; the entry
-    # count is the one the ModType-keyed memo held for the same inputs
+    # count is the one the ModType-keyed memo held for the same inputs.  No
+    # call stores its own root, but a later, larger call may store it as a
+    # subproblem, which then answers a repeat call at once.
     monkeypatch.setattr(erase, "_MEMO", {})
+    roots = []
     for size in range(7):
         for combo in itertools.combinations_with_replacement(SOURCE_CATALOGUE, size):
             for r in range(3, 8):
+                roots.append(_root(Counter(combo), r))
+                stored = erase._MEMO.get(roots[-1], erase._OPEN)
                 is_erasable(Counter(combo), r)
-    assert len(erase._MEMO) == 5_444
+                assert erase._MEMO.get(roots[-1], erase._OPEN) is stored, (combo, r)
+    assert len(erase._MEMO) == 5_444 and any(root in erase._MEMO for root in roots)
     assert _check_memo_chains(erase._MEMO) > 1_000
 
 

@@ -47,6 +47,9 @@ def test_axiom_tags():
     assert ax.tag_of(Tuple(5, 0, -1, 0, 0)) is None
     assert ax.tag_of(Tuple(6, 1, 5, 0, 0)) == "Delta1Base"
     assert ax.tag_of(Tuple(16, 3, 13, 0, 0)) == "Delta1Base"
+    # Delta1Base's domain is g >= 1: (5g+1, g, 4g+1, 0, 0) has rho = g
+    assert ax.tag_of(Tuple(-4, -1, -3, 0, 0)) is None
+    assert ax.tag_of(Tuple(-9, -2, -7, 0, 0)) is None
     assert ax.tag_of(Tuple(5, 2, 3, 0, 1)) == "Sporadic30"
     assert ax.tag_of(Tuple(14, 8, 7, 0, 0)) == "CanonicalEven"
     # CanonicalEven's domain is odd r >= 3 less the counterexample triples
@@ -271,6 +274,16 @@ def test_certify_depth_cap_is_an_explicit_check(monkeypatch):
         certify(Tuple(13, 2, 6, 1, 0))
 
 
+def test_an_axiom_root_certifies_whatever_its_depth_cap():
+    # r + d + m + 8 < 0 here: the cap bounds expansion, not an axiom's lookup
+    t = Tuple(-20, 0, 0, 0, 0)
+    ax = AxiomSet(extra=frozenset({t}))
+    cert = certify(t, axioms=ax)
+    assert cert.nodes == {t: Axiom("Extra")} and verify_certificate(cert, axioms=ax)
+    with pytest.raises(Irreducible):
+        certify(Tuple(-9, -2, -7, 0, 0))
+
+
 def test_disabling_rules_only_shrinks_reducibility():
     full = run_sporadic_search(r_max=3)
     crippled = run_sporadic_search(
@@ -353,10 +366,11 @@ def test_thm14_first_rank_is_covered():
 
 def test_the_shell_check_holds_on_every_tuple_outside_the_box():
     # the box is g <= r-1, d <= g+2r-1, m <= r-2+[g=0], so a tuple outside it
-    # meets a peeling precondition by definition: outside_uncovered is empty
+    # meets a peeling precondition by definition, which is why verify_thm14
+    # reports outside_uncovered empty without testing a tuple
     outside = [t for r in range(3, 26) for t, in_box in prover._grid(r) if not in_box]
     assert len(outside) == 493_218
-    assert [t for t in outside if not prover._covers_outside_box(t)] == []
+    assert [t for t in outside if not (t.g >= t.r or t.d >= t.g + 2 * t.r - 1 or t.m >= t.r - 1)] == []
 
 
 def test_thm14_report_at_rank_16_is_pinned():
