@@ -20,7 +20,8 @@ from typing import NamedTuple, Optional
 
 
 class DomainError(ValueError):
-    """Raised when an operation is called outside its mathematical domain."""
+    """An input outside an operation's domain; the CLI prints it as
+    `error: ...` and exits 1.  A ValueError, so `except ValueError` holds."""
 
 
 class InvariantViolated(RuntimeError):
@@ -238,19 +239,19 @@ def _failures(t: Tuple) -> tuple[str, ...]:
     return tuple(failures)
 
 
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above: the test is exact below it
+_SPRP_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Strong-probable-prime test on _SPRP_BASES, exact for n < _SPRP_BOUND."""
+    if n < 2 or n in _SPRP_BASES:
+        return n in _SPRP_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2^s
+    odd = (n - 1) >> s
+    # n passes base a when a^odd = 1 or a^(odd 2^j) = -1 for some j < s
+    return all(pow(a, odd, n) == 1 or any(pow(a, odd << j, n) == n - 1 for j in range(s)) for a in _SPRP_BASES)
 
 
 def bn_interpolation(d: int, g: int, r: int, char: int = 0) -> InterpolationVerdict:
@@ -260,6 +261,8 @@ def bn_interpolation(d: int, g: int, r: int, char: int = 0) -> InterpolationVerd
     unless (d, g, r) is one of the five counterexample triples, or char = 2
     with g = 0 and d not congruent to 1 mod r - 1.
     """
+    if char >= _SPRP_BOUND:
+        raise DomainError(f"characteristic {char} is not below {_SPRP_BOUND}, where the primality test is exact")
     if char != 0 and not _is_prime(char):
         raise DomainError(f"characteristic {char} is neither 0 nor prime")
     if r < 1 or d < 1:

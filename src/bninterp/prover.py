@@ -20,7 +20,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Collection, Iterable, Optional, Union
 
-from .core import COUNTEREXAMPLE_TRIPLES, SPORADIC30, XEX, InvariantViolated, Tuple, is_good, measure, rho
+from .core import COUNTEREXAMPLE_TRIPLES, SPORADIC30, XEX, DomainError, InvariantViolated, Tuple, is_good, measure, rho
 from .rules import (
     RULE_ORDER,
     PreconditionViolated,
@@ -82,8 +82,8 @@ PROVISOS = {RuleId.DELTA_1_STEP: PROVISO_DELTA1}
 
 
 class Irreducible(Exception):
-    """Raised by certify: a good tuple admits no axiom and no rule instance
-    whose subgoals can all be certified."""
+    """Raised by certify: a good tuple that is not an axiom admits no rule
+    instance whose subgoals can all be certified."""
 
     def __init__(self, t: Tuple):
         super().__init__(f"no reduction found for {t}")
@@ -97,16 +97,16 @@ class Irreducible(Exception):
 def check_workers(workers: int) -> int:
     """The worker-process count to use for a requested `workers`: values
     above the CPU count are clamped to it; values below 1 (or non-integers)
-    raise ValueError."""
+    raise DomainError."""
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+        raise DomainError(f"workers must be a positive integer, got {workers!r}")
     return min(workers, os.cpu_count() or 1)
 
 
 def _pmap(fn: Callable, items: list, workers: int, chunksize: int = 1) -> list:
     """[fn(x) for x in items], spread over at most `workers` forked
-    processes (validated by check_workers); in-process when one suffices."""
-    n = min(check_workers(workers), len(items))
+    processes (a count check_workers returned); in-process when one suffices."""
+    n = min(workers, len(items))
     if n <= 1:
         return [fn(x) for x in items]
     with multiprocessing.get_context("fork").Pool(n) as pool:
@@ -291,31 +291,31 @@ def certify(
     memo: Optional[dict] = None,
 ) -> Certificate:
     """Build a reduction certificate for `t`, or raise Irreducible naming
-    `t` when no reduction chain exists.
+    `t` when no reduction chain exists.  A root that is neither good nor an
+    axiom raises DomainError before the memo is touched.
 
     `memo` may be shared across calls that use the same axioms; it maps
     tuples to a Justification or to None for tuples already known to
     fail.  A rule instance is only tried when each subgoal is good or an
-    axiom: no other subgoal can be certified.  No rule raises r or d, so
-    the search stays within the root's own r and d."""
+    axiom, as the root is, so every node the search meets is one.  No rule
+    raises r or d, so the search stays within the root's own r and d."""
     ax = axioms if axioms is not None else AxiomSet()
+    accept = lambda s: ax.tag_of(s) is not None or is_good(s).is_good  # noqa: E731
+    if not accept(t):
+        raise DomainError(f"tuple is not good ({', '.join(is_good(t).failures)}) and is not an axiom")
     mm = {} if memo is None else memo
     depth_cap = t.r + t.d + t.m + 8
-    accept = lambda s: ax.tag_of(s) is not None or is_good(s).is_good  # noqa: E731
 
     def settle(node: Tuple, depth: int) -> Optional[bool]:
-        """Whether `node` is certified (True) or known to fail (False)
-        without trying a rule; None when its rules must be tried, which the
-        depth cap bounds."""
+        """Whether `node` is certified (True) or known to fail (False), from
+        the memo or its axiom tag; None when its rules must be tried, which
+        the depth cap bounds."""
         if node in mm:
             return mm[node] is not None
         tag = ax.tag_of(node)
         if tag is not None:
             mm[node] = Axiom(tag)
             return True
-        if not is_good(node).is_good:
-            mm[node] = None
-            return False
         if depth > depth_cap:
             raise InvariantViolated(f"reduction depth blew past {depth_cap} at {node}")
         return None
@@ -439,14 +439,11 @@ def _rows(r: int):
     """(g, d, m_top, m_box) over the (g, d) rows of the rank-r shell, in
     order: the shell's m runs to m_top = min(rho, r + 1), and the box
     g <= r-1, d <= g+2r-1, m <= r-2+eps0(g) to m_box, which is -1 outside
-    the box."""
+    the box.  Every row has rho >= g >= 0: rho = g at d = g + r and grows with d."""
     for g in range(0, r + 2):
         for d in range(g + r, g + 2 * r + 3):
-            rr = rho(d, g, r)
-            if rr < 0:
-                continue
             m_box = (r - 2 + (1 if g == 0 else 0)) if g <= r - 1 and d <= g + 2 * r - 1 else -1
-            yield g, d, min(rr, r + 1), m_box
+            yield g, d, min(rho(d, g, r), r + 1), m_box
 
 
 def _grid(r: int):
@@ -528,8 +525,10 @@ def run_sporadic_search(
 ) -> SporadicReport:
     """Try to reduce every sporadic-sweep tuple once, accepting subgoals by
     goodness, and report the irreducible remainder.  Serial and parallel
-    runs give equal reports."""
+    runs give equal reports.  Raises DomainError on a bad worker count, then on r_max < 3."""
     workers = check_workers(workers)
+    if r_max < 3:
+        raise DomainError(f"rmax {r_max} leaves no rank to sweep (the sweep starts at r = 3)")
     tuples = enumerate_sporadic(r_max)
     table = _rule_table(set(disabled))
     found = _pmap(partial(_dispatch, table=table), tuples, workers, chunksize=64)
@@ -577,7 +576,11 @@ def _thm14_one_r(r: int) -> tuple:
 def verify_thm14(r_max: int, r_min: int = 14, workers: int = 1) -> Thm14Report:
     """Check that every good box tuple with r_min <= r <= r_max (off the
     delta = 1 locus) is dispatched by some sweep rule, and count the good
-    shell tuples outside it, which meet a peeling precondition by definition."""
+    shell tuples outside it, which meet a peeling precondition by definition.
+    Raises DomainError on a bad worker count, then on r_max < r_min."""
+    workers = check_workers(workers)
+    if r_max < r_min:
+        raise DomainError(f"empty rank range: rmax {r_max} is below rmin {r_min}")
     rows = _pmap(_thm14_one_r, list(range(r_min, r_max + 1)), workers)
     return Thm14Report(
         r_min, r_max, sum(row[0] for row in rows), [t for row in rows for t in row[1]],

@@ -630,21 +630,21 @@ _FIELD_MASKS = {rule: _field_mask(spec.fields) for rule, spec in _RULES.items()}
 
 
 def _parameter_violation(rule: RuleId, p: RuleParams) -> Optional[str]:
-    """Why `p` does not set exactly the fields `rule` reads; a false
-    any_ni_is_2 is unset.  A valid `p` passes on the mask comparison alone,
-    which takes an unread any_ni_is_2 equal to False (0 as well) as unset,
-    for every rule as for one that reads no field."""
+    """Why `p` does not set exactly the fields `rule` reads; a field is unset
+    when it equals its default (a false any_ni_is_2, or 0 for it).  A valid
+    `p` passes on the mask comparison alone; on a failed one the loop names
+    the first field that differs, as the mask compares it."""
     unread, mask = _FIELD_MASKS[rule]
     if (p if unread is None else (unread(p), p.count(None))) == mask:
         return None
     fields = _RULES[rule].fields
-    for name, v in zip(p._fields, p):
+    for name, v, default in zip(p._fields, p, _NO_PARAMS):
         if name in fields:
             if v is None:
                 return f"missing parameter {name}"
-        elif v is not None and v is not False:
+        elif v != default:
             return f"parameter {name} does not belong to this rule"
-    return None
+    raise InvariantViolated(f"the field mask of {rule.value} refuses {p} but no field differs")
 
 
 def apply(rule: RuleId, t: Tuple, p: RuleParams = _NO_PARAMS) -> list[Tuple]:

@@ -138,6 +138,18 @@ def test_sporadic_expected_file_takes_integer_rows_only(runner, tmp_path, row):
     assert res.exit_code == 1 and "expected file:" in res.output
 
 
+def test_sporadic_reads_expected_before_the_sweep(runner, tmp_path, monkeypatch):
+    def no_sweep(**_kwargs):
+        raise AssertionError("the sweep ran before the expected file was read")
+
+    monkeypatch.setattr(bninterp.cli, "run_sporadic_search", no_sweep)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    for path in (tmp_path / "missing.json", bad):
+        res = run(runner, "sporadic", "--rmax", 3, "--expected", path)
+        assert res.exit_code == 1 and "error: expected file:" in res.output, res.output
+
+
 def test_thm14_command(runner):
     res = run(runner, "thm14", "--rmax", 14, "--format", "json")
     assert res.exit_code == 0

@@ -3,6 +3,7 @@ and the built-in tables."""
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from bninterp import (
     rho,
     splitting_type_interpolation,
 )
+from bninterp.core import _SPRP_BOUND, _is_prime
 
 
 def test_rho_matches_definition_on_random_inputs():
@@ -165,6 +167,27 @@ def test_interpolation_domain_errors():
         with pytest.raises(DomainError, match="neither 0 nor prime"):
             bn_interpolation(4, 0, 3, char=char)
     assert bn_interpolation(4, 0, 3, char=7).holds
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_primality_is_a_strong_probable_prime_test_on_bases_2_to_41():
+    assert [n for n in range(-3, 100_000) if _is_prime(n) != _trial_division(n)] == []
+    # a Carmichael number, and a strong pseudoprime to bases 2, 3, 5 and 7
+    assert not _is_prime(561) and not _is_prime(3_215_031_751)
+    t0 = time.perf_counter()
+    assert _is_prime(2**61 - 1) and bn_interpolation(4, 1, 3, char=2**61 - 1).holds
+    assert time.perf_counter() - t0 < 1.0
+    # the bound is the least strong pseudoprime to every base 2-41, where
+    # the test stops being exact; bn_interpolation refuses it and above
+    assert _is_prime(_SPRP_BOUND) and _SPRP_BOUND == 1_287_836_182_261 * 2_575_672_364_521
+    for char in (_SPRP_BOUND, _SPRP_BOUND + 2):
+        with pytest.raises(DomainError, match=f"characteristic {char} is not below {_SPRP_BOUND}"):
+            bn_interpolation(4, 1, 3, char=char)
+    with pytest.raises(DomainError, match="neither 0 nor prime"):
+        bn_interpolation(4, 1, 3, char=_SPRP_BOUND - 1)
 
 
 def test_max_points_formula_and_exceptions():

@@ -74,7 +74,7 @@ def test_no_tuple_certifies_where_interpolation_fails():
                 if not holds:
                     failing.add((d, g, r))
                     assert AxiomSet().tag_of(Tuple(d, g, r, 0, 0)) is None, (d, g, r)
-                    with pytest.raises(Irreducible):
+                    with pytest.raises(DomainError):
                         certify(Tuple(d, g, r, 0, 0))
     assert failing == COUNTEREXAMPLE_TRIPLES
 
@@ -106,7 +106,7 @@ def test_certify_simple_chain():
 
 def test_certify_rejects_good_looking_but_ineligible_root():
     # a pure-formula rule source that fails goodness cannot be certified
-    with pytest.raises(Irreducible):
+    with pytest.raises(DomainError):
         certify(Tuple(4, 1, 3, 0, 3))  # m exceeds rho
 
 
@@ -122,8 +122,51 @@ def test_certify_records_the_characteristic_proviso():
 
 
 def test_certify_rejects_non_good_non_axiom_input():
-    with pytest.raises(Irreducible):
+    with pytest.raises(DomainError):
         certify(Tuple(2, 0, 3, 0, 0))
+
+
+def test_certify_refuses_a_root_neither_good_nor_axiom_before_the_memo():
+    # certify owns its root test: the refusal names every failed clause and
+    # leaves a shared memo as it was
+    memo = {}
+    certify(Tuple(13, 2, 6, 1, 0), memo=memo)
+    before = list(memo.items())
+    for t, failures in (
+        (Tuple(2, 0, 3, 0, 0), "DegreeBelowGPlusR, MExceedsRho, RationalResidue"),
+        (Tuple(0, 7, 2, 3, -4), "NegativeField, DegreeBelowGPlusR, EllTooLarge, MExceedsRho"),
+        (Tuple(6, 4, 3, 0, 0), "DegreeBelowGPlusR"),
+    ):
+        with pytest.raises(DomainError) as e:
+            certify(t, memo=memo)
+        assert str(e.value) == f"tuple is not good ({failures}) and is not an axiom"
+        assert list(memo.items()) == before
+    # an axiom that is not good is a root like any other
+    t = Tuple(6, 4, 3, 0, 0)
+    assert certify(t, axioms=AxiomSet(extra=frozenset({t}))).nodes == {t: Axiom("Extra")}
+
+
+def test_irreducible_names_a_good_root_with_no_chain(monkeypatch):
+    monkeypatch.setattr(prover, "enumerate_instances", lambda rule, t, accept: iter(()))
+    memo = {}
+    t = Tuple(13, 2, 6, 1, 0)
+    with pytest.raises(Irreducible) as e:
+        certify(t, memo=memo)
+    assert e.value.tuple == t and memo == {t: None}
+
+
+def test_the_sweeps_refuse_an_empty_rank_range():
+    # the CLI prints these texts as `error: ...`; the worker count is checked first
+    with pytest.raises(DomainError, match=r"^rmax 2 leaves no rank to sweep \(the sweep starts at r = 3\)$"):
+        run_sporadic_search(2)
+    with pytest.raises(DomainError, match="^empty rank range: rmax 13 is below rmin 14$"):
+        verify_thm14(13)
+    with pytest.raises(DomainError, match="^empty rank range: rmax 14 is below rmin 15$"):
+        verify_thm14(14, r_min=15)
+    with pytest.raises(DomainError, match="^workers must be a positive integer, got 0$"):
+        verify_thm14(13, workers=0)
+    with pytest.raises(DomainError, match="^workers must be a positive integer, got 0$"):
+        run_sporadic_search(2, workers=0)
 
 
 def test_certify_shares_memo_across_calls():
@@ -280,7 +323,7 @@ def test_an_axiom_root_certifies_whatever_its_depth_cap():
     ax = AxiomSet(extra=frozenset({t}))
     cert = certify(t, axioms=ax)
     assert cert.nodes == {t: Axiom("Extra")} and verify_certificate(cert, axioms=ax)
-    with pytest.raises(Irreducible):
+    with pytest.raises(DomainError):
         certify(Tuple(-9, -2, -7, 0, 0))
 
 
@@ -370,6 +413,8 @@ def test_the_shell_check_holds_on_every_tuple_outside_the_box():
     # reports outside_uncovered empty without testing a tuple
     outside = [t for r in range(3, 26) for t, in_box in prover._grid(r) if not in_box]
     assert len(outside) == 493_218
+    # every shell row has rho >= g >= 0, so no row is empty
+    assert all(rho(d, g, r) >= g >= 0 for r in range(3, 41) for g, d, _top, _box in prover._rows(r))
     assert [t for t in outside if not (t.g >= t.r or t.d >= t.g + 2 * t.r - 1 or t.m >= t.r - 1)] == []
 
 

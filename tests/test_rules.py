@@ -677,12 +677,13 @@ def test_a_single_instance_rule_refuses_an_out_of_range_parameter_by_its_check(m
 
 
 def _field_loop(fields, p):
-    # the reference: every field in turn, the first offender named
-    for name, v in zip(p._fields, p):
+    # the reference: every field in turn, the first offender named; a field
+    # the rule does not read must equal its default, False too being set
+    for name, v, default in zip(p._fields, p, RuleParams()):
         if name in fields:
             if v is None:
                 return f"missing parameter {name}"
-        elif v is not None and v is not False:
+        elif v != default:
             return f"parameter {name} does not belong to this rule"
     return None
 
@@ -709,3 +710,16 @@ def test_the_field_mask_agrees_with_a_loop_over_the_fields():
             assert rules_mod._parameter_violation(rule, p) == want, (rule, p)
             valid += want is None
     assert valid > 5_000
+    # a foreign field set to False, or any_ni_is_2 set to None, is set: the
+    # mask refuses it and the loop names it
+    for rule, t, p, name in (
+        (RuleId.GATHER_LINES, Tuple(20, 1, 4, 0, 0), RuleParams(eps=False), "eps"),
+        (RuleId.GATHER_LINES, Tuple(20, 1, 4, 0, 0), RuleParams(any_ni_is_2=None), "any_ni_is_2"),
+        (RuleId.TWO_PROJ, Tuple(8, 0, 5, 0, 1), RuleParams(eps=1, k=False), "k"),
+    ):
+        want = f"parameter {name} does not belong to this rule"
+        assert rules_mod._parameter_violation(rule, p) == want
+        with pytest.raises(PreconditionViolated, match=f"^{want}$"):
+            apply(rule, t, p)
+    assert apply(RuleId.GATHER_LINES, Tuple(20, 1, 4, 0, 0), RuleParams(eps=None, any_ni_is_2=0))
+    assert apply(RuleId.TWO_PROJ, Tuple(8, 0, 5, 0, 1), RuleParams(eps=1)) == [Tuple(4, 0, 3, 0, 1)]

@@ -5,7 +5,7 @@ from pathlib import Path
 from types import ModuleType
 
 import bninterp
-from bninterp import rules
+from bninterp import prover, rules
 
 SOURCES = sorted(Path(bninterp.__file__).parent.glob("*.py"))
 
@@ -26,6 +26,17 @@ def test_no_logic_sits_in_an_assert():
 def test_cli_has_one_output_path():
     # every --format json report goes through one emitter
     assert (Path(bninterp.__file__).parent / "cli.py").read_text(encoding="utf-8").count('fmt == "json"') == 1
+
+
+def test_each_input_is_refused_once_in_the_library():
+    # certify owns its root test and the sweeps check their worker counts
+    # and ranks; the CLI restates neither, and settle tests no goodness
+    cli_src = (Path(bninterp.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    for name in ("tag_of", "check_workers", "_parse_workers"):
+        assert name not in cli_src, name
+    tree = ast.parse(Path(prover.__file__).read_text(encoding="utf-8"))
+    (settle,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "settle"]
+    assert not [n for n in ast.walk(settle) if isinstance(n, ast.Name) and n.id == "is_good"]
 
 
 def test_the_rule_layer_states_its_domain_and_its_order_once():
