@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -89,6 +90,17 @@ def _file_errors(what: str):
         yield
     except (OSError, ValueError, KeyError, TypeError) as e:
         _fail_input(f"{what} file: {e}")
+
+
+def _check_writable(what: str, path) -> None:
+    """Fail as `_file_errors` would on an output file that cannot be written, before
+    the work; a new file is removed again and an existing one is not truncated."""
+    if path is not None:
+        new = not os.path.lexists(path)
+        with _file_errors(what):
+            open(path, "a").close()
+            if new:
+                os.remove(path)
 
 
 _WORKERS = click.option(
@@ -191,23 +203,13 @@ def max_points_cmd(d, g, r, fmt):
 # ---------------------------------------------------------------------------
 
 
-def _parse_rule(_ctx, _param, values):
-    out = []
-    for v in values:
-        try:
-            out.append(RuleId(v))
-        except ValueError:
-            _fail_input(f"unknown rule {v!r}; valid: {', '.join(r.value for r in RuleId)}")
-    return tuple(out)
-
-
 @main.command()
 @click.option("--rmax", type=int, default=13, show_default=True)
 @click.option(
     "--disable-rule",
     "disabled",
     multiple=True,
-    callback=_parse_rule,
+    type=click.Choice([rule.value for rule in RuleId]),
     help="Rule name to leave out (repeatable).",
 )
 @_WORKERS
@@ -224,7 +226,8 @@ def sporadic(rmax, disabled, workers, csv_path, expected, fmt):
     else:
         want = set(SPORADIC30)
     want = {t for t in want if t.r <= rmax}
-    report = run_sporadic_search(r_max=rmax, disabled=disabled, workers=workers)
+    _check_writable("csv", csv_path)
+    report = run_sporadic_search(r_max=rmax, disabled=map(RuleId, disabled), workers=workers)
     got = set(report.irreducible)
 
     if csv_path is not None:
@@ -305,6 +308,7 @@ def certify_cmd(d, g, r, ell, m, json_path, axioms_path):
     when no reduction chain exists.  A tuple that is neither good nor an
     axiom is an input error (exit 1)."""
     ax = _load_axioms(axioms_path)
+    _check_writable("certificate", json_path)
     try:
         cert = _certify(Tuple(d, g, r, ell, m), axioms=ax)
     except Irreducible as e:
@@ -320,7 +324,6 @@ def certify_cmd(d, g, r, ell, m, json_path, axioms_path):
         click.echo(f"certificate with {len(cert.nodes)} nodes written to {json_path}")
     else:
         click.echo(json.dumps(cert.to_json(), indent=1))
-    sys.exit(0)
 
 
 @main.command(name="verify")

@@ -267,6 +267,8 @@ def bn_interpolation(d: int, g: int, r: int, char: int = 0) -> InterpolationVerd
         raise DomainError(f"characteristic {char} is neither 0 nor prime")
     if r < 1 or d < 1:
         raise DomainError(f"need r >= 1 and d >= 1, got (d, g, r) = ({d}, {g}, {r})")
+    if g < 0:
+        raise DomainError(f"no curve has negative genus, got g = {g}")
     if rho(d, g, r) < 0:
         raise DomainError(f"no BN-curve exists: rho({d}, {g}, {r}) = {rho(d, g, r)} < 0")
     if (d, g, r) in COUNTEREXAMPLE_TRIPLES:
@@ -285,6 +287,8 @@ def max_points(d: int, g: int, r: int) -> PointCountAnswer:
     """
     if r < 3:
         raise DomainError(f"point counts need r >= 3, got r = {r}")
+    if g < 0:
+        raise DomainError(f"no curve has negative genus, got g = {g}")
     if rho(d, g, r) < 0:
         raise DomainError(f"no BN-curve exists: rho({d}, {g}, {r}) < 0")
     predicted = ((r + 1) * d - (r - 3) * (g - 1)) // (r - 1)

@@ -30,8 +30,9 @@ it shares the child's own value, so the memo grows linearly.
 r(r+1) names, one per in-range type.
 `erasable_fast` never unrolls.  `_check_types` is the one validating pass:
 it refuses what the calculus cannot hold and gives the sorted (code, count)
-items that both the search and the oracles start from.  `combine`,
-`normalize` and the order-walking oracles use none of the tables.
+items that both the search and the oracles start from.  The oracles
+replay each order from the same identity state, through `combine` alone,
+and use none of the tables.
 """
 
 from __future__ import annotations
@@ -190,19 +191,6 @@ def _check_types(c: ModCollection, r: int) -> list:
     return items
 
 
-def _place(state: Optional[AccState], mt: ModType, r: int) -> Optional[AccState]:
-    """The state after one more point: the first (state None) is only normalized."""
-    if state is None:
-        return normalize(AccState(mt.t1, mt.t2, mt.strength, 0), r)
-    return combine(state, mt, r)
-
-
-def _remove_one(remaining: tuple, i: int) -> tuple:
-    """The sorted (type, count) multiset `remaining` less one copy of its i-th type."""
-    mt, n = remaining[i]
-    return remaining[:i] + (((mt, n - 1),) if n > 1 else ()) + remaining[i + 1 :]
-
-
 def _code(mt: tuple, r: int) -> int:
     """The code at rank r of a type or a twist-free state (t1, t2, strength)."""
     return 2 * (mt[0] * r + mt[1]) + (mt[2] == WEAK)
@@ -302,23 +290,24 @@ def erasable_fast(c: ModCollection, r: int) -> bool:
 
 def _walk_orders(c: ModCollection, r: int, quantifier) -> bool:
     """Independent oracle, no memoization: replay every distinct order of
-    the multiset and ask whether `quantifier` (`any` or `all`) of them ends
-    accepting; a dead branch counts as failing.  Only for collections of
-    total size <= 9."""
+    the multiset from the identity state and ask whether `quantifier`
+    (`any` or `all`) of them ends accepting; a dead branch counts as
+    failing.  Only for collections of total size <= 9."""
     items = tuple((_decode(code, r), n) for code, n in _check_types(c, r))
     total = sum(n for _, n in items)
     if total > 9:
         raise TooLarge(f"collection of size {total} exceeds the factorial cap of 9")
 
-    def rec(state: Optional[AccState], remaining: tuple) -> bool:
+    def rec(state: AccState, remaining: tuple) -> bool:
         if not remaining:
-            return state is None or (state.t2 == 0 and state.strength == STRONG)
+            return state.t2 == 0 and state.strength == STRONG
         return quantifier(
-            nxt is not None and rec(nxt, _remove_one(remaining, i))
-            for i, nxt in enumerate(_place(state, mt, r) for mt, _ in remaining)
+            (nxt := combine(state, mt, r)) is not None
+            and rec(nxt, remaining[:i] + (((mt, n - 1),) if n > 1 else ()) + remaining[i + 1 :])
+            for i, (mt, n) in enumerate(remaining)
         )
 
-    return rec(None, items)
+    return rec(AccState(0, 0, STRONG), items)
 
 
 def brute_force_erasable(c: ModCollection, r: int) -> bool:

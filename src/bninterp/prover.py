@@ -206,21 +206,6 @@ def _tuple_from_json(v) -> Tuple:
     raise ValueError(f"a tuple must be a list of 5 integers, got {v!r}")
 
 
-_PARAM_TYPES = {name: bool if name == "any_ni_is_2" else int for name in RuleParams._fields}
-
-
-def _check_params(doc: dict) -> dict:
-    if not isinstance(doc, dict):
-        raise ValueError(f"params must be an object, got {doc!r}")
-    for key, v in doc.items():
-        want = _PARAM_TYPES.get(key)
-        if want is None:
-            raise ValueError(f"unknown parameter {key!r}")
-        if type(v) is not want:
-            raise ValueError(f"parameter {key} must be {want.__name__}, got {v!r}")
-    return doc
-
-
 @dataclass
 class Certificate:
     root: Tuple
@@ -266,7 +251,7 @@ class Certificate:
                     raise ValueError(f"proviso must be a string, got {type(proviso).__name__}")
                 nodes[t] = RuleApp(
                     rule=RuleId(_field(jd, "rule")),
-                    params=RuleParams.from_json(_check_params(_field(jd, "params"))),
+                    params=RuleParams.from_json(_field(jd, "params")),
                     children=tuple(_tuple_from_json(c) for c in _list_field(jd, "children")),
                     proviso=proviso,
                 )

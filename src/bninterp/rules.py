@@ -113,7 +113,16 @@ class RuleParams(NamedTuple):
         return doc
 
     @classmethod
-    def from_json(cls, doc: dict) -> "RuleParams":
+    def from_json(cls, doc) -> "RuleParams":
+        """The inverse of `to_json`; a ValueError naming the first key or value it refuses."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"params must be an object, got {doc!r}")
+        for key, v in doc.items():
+            if key not in cls._fields:
+                raise ValueError(f"unknown parameter {key!r}")
+            want = bool if key == "any_ni_is_2" else int
+            if type(v) is not want:
+                raise ValueError(f"parameter {key} must be {want.__name__}, got {v!r}")
         return cls(**doc)
 
 

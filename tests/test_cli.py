@@ -12,7 +12,10 @@ import pytest
 from click.testing import CliRunner
 
 import bninterp
+from bninterp import cli
 from bninterp.cli import main
+from bninterp.prover import Irreducible
+from bninterp.rules import RuleId
 
 
 @pytest.fixture()
@@ -39,6 +42,9 @@ def test_check_exception(runner):
 def test_check_no_curve_is_input_error(runner):
     res = run(runner, "check", 3, 4, 3)
     assert res.exit_code == 1
+    for cmd in ("check", "max-points"):
+        res = run(runner, cmd, "--", 5, -1, 3)
+        assert res.exit_code == 1 and "error: no curve has negative genus, got g = -1" in res.output, res.output
 
 
 def test_check_char_must_be_prime_or_zero(runner):
@@ -106,8 +112,11 @@ def test_sporadic_disable_rule_mismatch_exits_3(runner):
 
 
 def test_sporadic_unknown_rule_name(runner):
+    # click checks the choice: the message names the value and every rule
     res = run(runner, "sporadic", "--disable-rule", "bogus")
-    assert res.exit_code == 1
+    assert res.exit_code == 1 and "bogus" in res.output, res.output
+    assert all(rule.value in res.output for rule in RuleId), res.output
+    assert all(rule.value in run(runner, "sporadic", "--help").output for rule in RuleId)
 
 
 def test_workers_below_one_is_an_input_error(runner):
@@ -449,10 +458,33 @@ def test_erasable_answers_past_the_recursion_limit(args, counts):
     ],
     ids=["csv", "certificate", "constants"],
 )
-def test_unwritable_output_file_is_an_input_error(runner, tmp_path, args, what):
+def test_unwritable_output_file_is_an_input_error(runner, tmp_path, monkeypatch, args, what):
+    # the path is checked before the sweep or the search starts
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_sporadic_search", not_reached)
+    monkeypatch.setattr(cli, "_certify", not_reached)
     res = run(runner, *args, tmp_path / "absent" / "out")
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output and f"error: {what}" in res.output
+
+
+def test_a_run_that_fails_after_the_path_check_leaves_the_output_alone(runner, tmp_path, monkeypatch):
+    def irreducible(t, axioms):
+        raise Irreducible(t)
+
+    monkeypatch.setattr(cli, "_certify", irreducible)
+    out = tmp_path / "c.json"
+    res = run(runner, "certify", 13, 2, 6, 1, 0, "--json", out)
+    assert res.exit_code == 4 and not out.exists(), res.output
+    out.write_bytes(b"old bytes")
+    res = run(runner, "certify", 13, 2, 6, 1, 0, "--json", out)
+    assert res.exit_code == 4 and out.read_bytes() == b"old bytes", res.output
+    # an empty range is refused by the sweep, after the path check
+    csv_path = tmp_path / "s.csv"
+    res = run(runner, "sporadic", "--rmax", 2, "--csv", csv_path)
+    assert res.exit_code == 1 and "rmax 2 leaves no rank" in res.output and not csv_path.exists()
 
 
 @pytest.mark.parametrize(

@@ -162,6 +162,8 @@ def test_interpolation_domain_errors():
         bn_interpolation(4, 1, 0)
     with pytest.raises(DomainError):
         bn_interpolation(0, 0, 3)
+    with pytest.raises(DomainError, match="^no curve has negative genus, got g = -1$"):
+        bn_interpolation(5, -1, 3)  # rho = 11
     # the characteristic is 0 or a prime
     for char in (4, -2, 1, 9):
         with pytest.raises(DomainError, match="neither 0 nor prime"):
@@ -206,6 +208,8 @@ def test_max_points_formula_and_exceptions():
         max_points(3, 4, 3)
     with pytest.raises(DomainError):
         max_points(4, 0, 2)
+    with pytest.raises(DomainError, match="^no curve has negative genus, got g = -1$"):
+        max_points(5, -1, 3)
 
 
 def test_splitting_type_criterion():

@@ -279,6 +279,16 @@ def test_params_json_round_trip():
                 assert RuleParams.from_json(p.to_json()) == p
                 seen += 1
     assert seen > 50
+    # what a certificate reader refuses, with the texts the CLI prints
+    for doc, text in [
+        ([1], "params must be an object, got [1]"),
+        ({"zeta": 1}, "unknown parameter 'zeta'"),
+        ({"eps": True}, "parameter eps must be int, got True"),
+        ({"sum_n": 0, "any_ni_is_2": 1}, "parameter any_ni_is_2 must be bool, got 1"),
+    ]:
+        with pytest.raises(ValueError) as e:
+            RuleParams.from_json(doc)
+        assert str(e.value) == text
 
 
 def test_params_bytes_and_value_semantics_are_pinned():

@@ -5,7 +5,7 @@ from pathlib import Path
 from types import ModuleType
 
 import bninterp
-from bninterp import prover, rules
+from bninterp import erase, prover, rules
 
 SOURCES = sorted(Path(bninterp.__file__).parent.glob("*.py"))
 
@@ -37,6 +37,17 @@ def test_each_input_is_refused_once_in_the_library():
     tree = ast.parse(Path(prover.__file__).read_text(encoding="utf-8"))
     (settle,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "settle"]
     assert not [n for n in ast.walk(settle) if isinstance(n, ast.Name) and n.id == "is_good"]
+
+
+def test_each_convention_has_one_owner():
+    # rules reads the params it writes, the erasability oracle starts at the
+    # identity state as the search does, and click checks --disable-rule
+    prover_src = Path(prover.__file__).read_text(encoding="utf-8")
+    for name in ("_PARAM_TYPES", "_check_params"):
+        assert name not in prover_src, name
+    tree = ast.parse(Path(erase.__file__).read_text(encoding="utf-8"))
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_place"]
+    assert "_parse_rule" not in (Path(bninterp.__file__).parent / "cli.py").read_text(encoding="utf-8")
 
 
 def test_the_rule_layer_states_its_domain_and_its_order_once():
