@@ -88,7 +88,7 @@ def _file_errors(what: str):
     error naming its role (`axioms file: ...`) instead of a traceback."""
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
         _fail_input(f"{what} file: {e}")
 
 

@@ -37,15 +37,16 @@ those `accept` kept, so rejected candidates are never validated; a kept
 candidate that fails the check is a defect in its enumerator and raises
 InvariantViolated.
 
-First-instance contract.  `first_instance(rule, t, accept)` returns, in
-one plain call, what `enumerate_instances` would yield first, provided
-`accept` rejects every tuple that is not good.  The master family then
-starts each (ell', m') cell at the least d' whose first subgoal meets
-2 ell-bar <= r-1 and m-bar <= rho, and bounds m' in each ell' row in
-closed form to skip cells whose d' run is provably empty (see
-`_master_family_candidates`).  The sweeps try on a tuple only the rules
-whose guard its shape can meet, from the rule table in `prover`;
-`certify` tries every rule.
+Master-family contract.  The master family has one walk, which starts
+each (ell', m') cell at the least d' whose first subgoal s meets two of
+goodness's clauses, 2 s.ell <= s.r and s.m <= rho(s), and skips in closed
+form the cells whose d' run is then empty (see `_master_family_candidates`).
+So it offers the instances `apply` accepts whose first subgoal meets both;
+`apply` asks neither.  Every built-in axiom meets both, and an extra axiom
+that fails one is never a master-family first subgoal.  `first_instance`
+is the first instance `enumerate_instances` yields.  The sweeps try on a
+tuple only the rules whose guard its shape can meet, from the rule table
+in `prover`; `certify` tries every rule.
 """
 
 from __future__ import annotations
@@ -449,7 +450,7 @@ def _delta_5_params(t: Tuple) -> RuleParams:
 
 
 def _master_family_candidates(
-    offset: int, strict: bool, goals: Callable, least_good: bool, t: Tuple
+    offset: int, strict: bool, goals: Callable, t: Tuple
 ) -> Iterator[tuple[RuleParams, list[Tuple]]]:
     """(ell', m', d', sum_n, any2) in lexicographic order.
 
@@ -459,10 +460,10 @@ def _master_family_candidates(
     and the sum range [m' n_lo, m'(r-1)] is a closed d' interval.
 
     The first subgoal of both rules is (d'-1, g, r-1, ell-bar, m-bar) with
-    ell-bar = A - d'.  With `least_good`, each cell's d' run starts at the
-    least d' where two of its goodness clauses hold: 2 ell-bar <= r-1 and
-    m-bar <= rho(d'-1, g, r-1).  Both are lower bounds on d', so only
-    candidates with a subgoal that is not good are skipped."""
+    ell-bar = A - d'.  Each cell's d' run starts at the least d' where two
+    of its goodness clauses hold: 2 ell-bar <= r-1 and m-bar <= rho(d'-1,
+    g, r-1).  Both are lower bounds on d', so the candidates skipped are
+    exactly those whose first subgoal fails one of them."""
     d, g, r, ell, m = t
     k = r - 1
     n = delta_numerator(t)
@@ -478,30 +479,26 @@ def _master_family_candidates(
     elliptic = g == 1  # height 2 is forbidden at d' = r + 1
     half = k // 2
     rho_num = k * (g + r)
-    # With `least_good`, cells whose d' run is provably empty are skipped in
-    # closed form.  Both centres lie in {x0, x0 + 1} and m'k - c is even, so
-    # every cell has (m'k - c)//2 = (m'k - c0)//2 with c0 = x0 - offset -
-    # ell' - 2d.  It has hi <= (m'k - c0)//2 and lo >= floor, the greater
-    # of dp_lo and the rho clause's floor at the least m-bar: so hi < lo for
-    # m' < mp_lo.  Also lo >= a - k//2 = ell - ell' - k//2 + (m'k - c0)//2,
-    # which is over hi in every cell of a row with ell - ell' > k//2, and
-    # over d for m' > mp_hi.
-    lp_lo = 0
-    if least_good:
-        floor = 1 - (-(m - m_top + rho_num) // r)
-        floor = floor if floor > dp_lo else dp_lo
-        lp_lo = ell - half if ell > half else 0
-        lo_num = 2 * floor + x0 - offset - 2 * d  # mp_lo = ceil((lo_num - ell') / k)
-        hi_num = x0 + 1 - offset - 2 * ell + 2 * half  # mp_hi = (ell' + hi_num) // k
+    # Cells whose d' run is provably empty are skipped in closed form.  Both
+    # centres lie in {x0, x0 + 1} and m'k - c is even, so every cell has
+    # (m'k - c)//2 = (m'k - c0)//2 with c0 = x0 - offset - ell' - 2d.  It
+    # has hi <= (m'k - c0)//2 and lo >= floor, the greater of dp_lo and the
+    # rho clause's floor at the least m-bar: so hi < lo for m' < mp_lo.
+    # Also lo >= a - k//2 = ell - ell' - k//2 + (m'k - c0)//2, which is over
+    # hi in every cell of a row with ell - ell' > k//2, and over d for
+    # m' > mp_hi.
+    floor = 1 - (-(m - m_top + rho_num) // r)
+    floor = floor if floor > dp_lo else dp_lo
+    lo_num = 2 * floor + x0 - offset - 2 * d  # mp_lo = ceil((lo_num - ell') / k)
+    hi_num = x0 + 1 - offset - 2 * ell + 2 * half  # mp_hi = (ell' + hi_num) // k
     # min and max are spelled as conditionals: this runs once per sweep tuple
-    for lp in range(lp_lo, (ell if ell < cap else cap) + 1):
+    for lp in range(ell - half if ell > half else 0, (ell if ell < cap else cap) + 1):
         # at r = 3, cap <= 1 already forces m' = 0
-        mp_lo, mp_hi = 0, (cap - lp) // 2
+        mp_lo, mp_hi = -((lp - lo_num) // k), (cap - lp) // 2
+        mp_lo = mp_lo if mp_lo > 0 else 0
         mp_hi = m_top if m_top < mp_hi else mp_hi
-        if least_good:
-            mp_lo, cut = -((lp - lo_num) // k), (lp + hi_num) // k
-            mp_lo = mp_lo if mp_lo > 0 else 0
-            mp_hi = cut if cut < mp_hi else mp_hi
+        cut = (lp + hi_num) // k
+        mp_hi = cut if cut < mp_hi else mp_hi
         for mp in range(mp_lo, mp_hi + 1):
             x = centres[(offset + lp + mp * k) % 2]
             if x is None:
@@ -513,11 +510,10 @@ def _master_family_candidates(
             hi = d if d < top else top
             a = ell - lp + top  # ell-bar = a - d'
             mbar = m - mp
-            if least_good:
-                # 2(a - d') <= r-1, and r(d'-1) - k(g + r) >= m-bar
-                cut = 1 - (-(mbar + rho_num) // r)
-                cut = cut if cut > a - half else a - half
-                lo = lo if lo > cut else cut
+            # 2(a - d') <= r-1, and r(d'-1) - k(g + r) >= m-bar
+            cut = 1 - (-(mbar + rho_num) // r)
+            cut = cut if cut > a - half else a - half
+            lo = lo if lo > cut else cut
             for dp in range(lo, hi + 1):
                 sn = c + 2 * dp
                 # the canonical flag: below 4m' every even-height multiset has a 2
@@ -584,9 +580,6 @@ class _Rule(NamedTuple):
     params: Optional[Callable[[Tuple], Optional[RuleParams]]] = None
     # (t) -> (RuleParams, subgoals) pairs of a rule with many instances
     candidates: Optional[Callable] = None
-    # the candidates `first_instance` tries, when it may skip some whose
-    # subgoals are not all good
-    first_candidates: Optional[Callable] = None
 
 
 def _master_family_rule(offset: int, strict: bool, formula: Callable) -> _Rule:
@@ -595,8 +588,7 @@ def _master_family_rule(offset: int, strict: bool, formula: Callable) -> _Rule:
         partial(_check_master_family, offset, strict),
         partial(_goals_master_family, formula),
         ("ell_prime", "m_prime", "d_prime", "sum_n", "any_ni_is_2"),
-        candidates=partial(_master_family_candidates, offset, strict, formula, False),
-        first_candidates=partial(_master_family_candidates, offset, strict, formula, True),
+        candidates=partial(_master_family_candidates, offset, strict, formula),
     )
 
 
@@ -699,8 +691,9 @@ def enumerate_instances(
 ) -> Iterator[tuple[RuleParams, list[Tuple]]]:
     """All parameter choices for `rule` at `t` passing the rule's check and
     whose every subgoal satisfies `accept`, in canonical (lexicographically
-    sorted parameter) order.  For a rule with many instances `accept` runs
-    before the check (see the module docstring)."""
+    sorted parameter) order; for the master family, only those whose first
+    subgoal meets two goodness clauses.  For a rule with many instances
+    `accept` runs before the check (see the module docstring)."""
     if t.r < 3:
         return
     spec = _RULES[rule]
@@ -717,16 +710,13 @@ def enumerate_instances(
 def first_instance(
     rule: RuleId, t: Tuple, accept: Callable[[Tuple], bool]
 ) -> Optional[tuple[RuleParams, list[Tuple]]]:
-    """The first instance `enumerate_instances(rule, t, accept)` yields, or
-    None.  `accept` must reject every tuple that is not good: the master
-    family then skips, in each (ell', m') cell, the d' below the least one
-    whose first subgoal can be good."""
+    """The first instance `enumerate_instances(rule, t, accept)` yields, or None."""
     if t.r < 3:
         return None
     spec = _RULES[rule]
     if spec.candidates is None:
         return _single_instance(spec, t, accept)
-    for p, goals in (spec.first_candidates or spec.candidates)(t):
+    for p, goals in spec.candidates(t):
         if _kept(rule, spec, t, p, goals, accept):
             return p, goals
     return None

@@ -346,6 +346,36 @@ def test_verify_unreadable_certificate(runner, tmp_path):
     assert run(runner, "verify", tmp_path / "absent.json").exit_code == 1
 
 
+def _fresh_cli(*args):
+    """Run the CLI in a fresh interpreter, so its default recursion limit
+    applies and a traceback would reach stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bninterp.__file__).resolve().parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "bninterp.cli", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "args, key, what",
+    [
+        (["verify"], None, "certificate"),
+        (["certify", 13, 2, 6, 1, 0, "--axioms"], "axioms", "axioms"),
+        (["sporadic", "--rmax", 3, "--expected"], "sporadic30", "expected"),
+    ],
+    ids=["certificate", "axioms", "expected"],
+)
+def test_a_deeply_nested_json_file_is_an_input_error(tmp_path, args, key, what):
+    # the JSON decoder recurses once per level, so 200,000 levels raise
+    # RecursionError while the file is read
+    nested = "[" * 200_000 + "]" * 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(nested if key is None else f'{{"{key}": {nested}}}')
+    proc = _fresh_cli(*args, path)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr[-500:]
+    assert proc.stderr.startswith(f"error: {what} file: "), proc.stderr[-500:]
+
+
 def test_readers_refuse_a_top_level_array_and_name_a_missing_key(runner, tmp_path):
     listed = tmp_path / "list.json"
     listed.write_text("[]")
@@ -438,12 +468,7 @@ def test_erasable_below_r3_is_an_input_error(runner, args):
     ids=["one-type", "two-types"],
 )
 def test_erasable_answers_past_the_recursion_limit(args, counts):
-    # a fresh interpreter, so its default recursion limit applies
-    env = {**os.environ, "PYTHONPATH": str(Path(bninterp.__file__).resolve().parent.parent)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "bninterp.cli", "erasable", *map(str, args), "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _fresh_cli("erasable", *args, "--format", "json")
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr[-500:]
     doc = json.loads(proc.stdout)
     assert doc["erasable"] is True and Counter(doc["witness"]) == counts

@@ -21,6 +21,7 @@ from bninterp import (
     RuleApp,
     RuleId,
     Tuple,
+    apply,
     bn_interpolation,
     certify,
     enumerate_instances,
@@ -144,6 +145,25 @@ def test_certify_refuses_a_root_neither_good_nor_axiom_before_the_memo():
     # an axiom that is not good is a root like any other
     t = Tuple(6, 4, 3, 0, 0)
     assert certify(t, axioms=AxiomSet(extra=frozenset({t}))).nodes == {t: Axiom("Extra")}
+
+
+def test_an_extra_axiom_the_master_walk_skips_is_never_its_first_subgoal():
+    # s = (4, 1, 3, 0, 2) has m = 2 > rho = 1.  The master walk skips every
+    # instance whose first subgoal fails m <= rho, so it never offers the
+    # one at t that reduces to s, even when s is an extra axiom; apply and
+    # the verifier still accept it
+    t, s = Tuple(7, 1, 4, 0, 3), Tuple(4, 1, 3, 0, 2)
+    p = RuleParams(ell_prime=0, m_prime=1, d_prime=5, sum_n=3, any_ni_is_2=False)
+    ax = AxiomSet(extra=frozenset({s}))
+    assert is_good(t).is_good and s.m > rho(s.d, s.g, s.r) and ax.tag_of(s) == "Extra"
+    accept = lambda u: ax.tag_of(u) is not None or is_good(u).is_good  # noqa: E731
+    for offered in (enumerate_instances(RuleId.MASTER, t), enumerate_instances(RuleId.MASTER, t, accept)):
+        assert p not in [q for q, _goals in offered]
+    assert apply(RuleId.MASTER, t, p) == [s]
+    cert = Certificate(root=t, nodes={t: RuleApp(RuleId.MASTER, p, (s,)), s: Axiom("Extra")})
+    assert verify_certificate(cert, axioms=ax)
+    assert verify_certificate(cert).code == "UnknownAxiom"
+    assert s not in certify(t, axioms=ax).nodes
 
 
 def test_irreducible_names_a_good_root_with_no_chain(monkeypatch):

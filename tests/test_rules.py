@@ -1,6 +1,7 @@
 """Reduction rules: worked instances, window tightness against an
-independent re-derivation, enumeration/apply drift protection, and the
-subgoal feasibility lemma."""
+independent re-derivation, enumeration/apply drift protection, the
+subgoal feasibility lemma, and the unpruned master-family walk that the
+pruned one in `rules` is checked against."""
 
 import itertools
 import json
@@ -35,6 +36,63 @@ from bninterp.prover import _grid
 
 def _good(s):
     return is_good(s).is_good
+
+
+# ---------------------------------------------------------------------------
+# the reference: the master-family walk without its cuts
+
+
+_MASTER_FAMILY = (RuleId.MASTER, RuleId.MASTER_111)
+
+
+def _unpruned_master_family(rule, t):
+    """Every (RuleParams, subgoals) instance of master or master-111 at t
+    that `apply` accepts, in canonical order.  This is the walk of
+    `rules._master_family_candidates` without the cuts that skip a
+    candidate whose first subgoal fails 2 ell-bar <= r-1 or m-bar <= rho:
+    each (ell', m') cell solves the window for its one centre X, and
+    sum_n = c + 2d' runs over the heights' range."""
+    offset, strict = (0, False) if rule is RuleId.MASTER else (1, True)
+    d, g, r, ell, m = t
+    if r < 3:
+        return
+    k = r - 1
+    n = delta_numerator(t)
+    # |n - Xk| <= k - 1 holds X = x0 = ceil((n - k + 1)/k), and x0 + 1 if x0 k < n
+    x0 = -((k - 1 - n) // k)
+    x1 = x0 + 1 if x0 * k < n else None
+    centres = (x1, x0) if x0 % 2 else (x0, x1)
+    cap = r - 3 if strict else r - 2  # bound on 2m' + ell'
+    m_top = m - 1 if strict else m
+    dp_lo = g + r + 1 if g == 0 and m != 0 else g + r
+    odd = r % 2 == 1
+    n_lo = 2 if odd else 3
+    goals = rules_mod._RULES[rule].goals
+    for lp in range(0, min(ell, cap) + 1):
+        for mp in range(0, min(m_top, (cap - lp) // 2) + 1):
+            x = centres[(offset + lp + mp * k) % 2]
+            if x is None:
+                continue
+            c = x - offset - lp - 2 * d  # sum_n = c + 2d'
+            for dp in range(max(dp_lo, (mp * n_lo - c) // 2), min(d, (mp * k - c) // 2) + 1):
+                sn = c + 2 * dp
+                any2 = odd and sn < 4 * mp
+                if any2 and g == 1 and dp == r + 1:
+                    continue
+                p = RuleParams(ell_prime=lp, m_prime=mp, d_prime=dp, sum_n=sn, any_ni_is_2=any2)
+                yield p, goals(t, p)
+
+
+def _instances(rule, t):
+    """Every instance `apply` accepts at t, in canonical order: the reference
+    walk for the master family, `enumerate_instances` for the other rules."""
+    return _unpruned_master_family(rule, t) if rule in _MASTER_FAMILY else enumerate_instances(rule, t)
+
+
+def _walked(s):
+    """Whether a master-family first subgoal s meets the two goodness
+    clauses the walk in `rules` starts each d' run at."""
+    return 2 * s.ell <= s.r and s.m <= rho(s.d, s.g, s.r)
 
 
 def test_rule_order_covers_every_rule_once():
@@ -85,7 +143,7 @@ def test_master_111_worked_instance():
 def test_master_strictness_gap_between_plain_and_111():
     # same parameters: the strict forms reject what the plain form allows
     t = Tuple(20, 3, 6, 1, 2)
-    for p, _goals in enumerate_instances(RuleId.MASTER, t):
+    for p, _goals in _instances(RuleId.MASTER, t):
         if 2 * p.m_prime + p.ell_prime == t.r - 2:
             with pytest.raises(PreconditionViolated, match="strictly"):
                 apply(RuleId.MASTER_111, t, p)
@@ -200,7 +258,7 @@ def test_elliptic_boundary_excludes_height_two():
     p2 = RuleParams(ell_prime=0, m_prime=1, d_prime=6, sum_n=2, any_ni_is_2=True)
     with pytest.raises(PreconditionViolated, match="forbidden"):
         apply(RuleId.MASTER, t, p2)
-    for p, _ in enumerate_instances(RuleId.MASTER, t):
+    for p, _ in itertools.chain(_unpruned_master_family(RuleId.MASTER, t), enumerate_instances(RuleId.MASTER, t)):
         if p.d_prime == 6:
             assert not p.any_ni_is_2 and p.sum_n >= 4 * p.m_prime
 
@@ -237,7 +295,7 @@ def test_twisted_rules_share_one_hypothesis_block(t, ell_prime, m_prime, d_prime
         reasons.add(e.value.reason)
     assert len(reasons) == 1, reasons
     if t.r == 3:
-        assert all(q.m_prime == 0 for rule in _TWISTED for q, _ in enumerate_instances(rule, t))
+        assert all(q.m_prime == 0 for rule in _TWISTED for q, _ in _instances(rule, t))
 
 
 def test_ell_bar_cannot_be_negative_once_the_shared_hypotheses_hold():
@@ -275,7 +333,7 @@ def test_params_json_round_trip():
         if not _good(t):
             continue
         for rule in RuleId:
-            for p, _goals in itertools.islice(enumerate_instances(rule, t), 4):
+            for p, _goals in itertools.islice(_instances(rule, t), 4):
                 assert RuleParams.from_json(p.to_json()) == p
                 seen += 1
     assert seen > 50
@@ -293,7 +351,8 @@ def test_params_json_round_trip():
 
 def test_params_bytes_and_value_semantics_are_pinned():
     # certificate and --csv bytes come from to_json: key order and the
-    # any_ni_is_2 rule must not depend on how RuleParams is implemented
+    # any_ni_is_2 rule must not depend on how RuleParams is implemented.
+    # Each is the rule's first instance that `apply` accepts
     pinned = [
         (RuleId.MASTER, (9, 0, 7, 1, 3),
          '{"ell_prime": 1, "m_prime": 1, "d_prime": 8, "sum_n": 2, "any_ni_is_2": true}'),
@@ -306,7 +365,7 @@ def test_params_bytes_and_value_semantics_are_pinned():
         (RuleId.DELTA_5, (13, 5, 7, 0, 1), '{"k": 3}'),
     ]
     for rule, t, want in pinned:
-        p, _goals = next(enumerate_instances(rule, Tuple(*t)))
+        p, _goals = next(_instances(rule, Tuple(*t)))
         assert json.dumps(p.to_json()) == want, rule
         assert hash(p) == hash(RuleParams.from_json(json.loads(want)))
         with pytest.raises(AttributeError):
@@ -370,12 +429,17 @@ def test_master_enumeration_matches_multiset_re_derivation_and_window_is_tight()
             if not _good(t):
                 continue
             tried += 1
-            got = {
-                (p.ell_prime, p.m_prime, p.d_prime, p.sum_n, p.any_ni_is_2)
-                for p, _ in enumerate_instances(RuleId.MASTER, t)
-            }
             strict = _master_instances_by_multisets(t, r - 2)
-            assert got == strict, (tuple(t), got ^ strict)
+            for walk, want in (
+                (_unpruned_master_family(RuleId.MASTER, t), strict),
+                # the first subgoal is (d'-1, g, r-1, ell-bar, m - m')
+                (enumerate_instances(RuleId.MASTER, t), {
+                    (lp, mp, dp, sn, any2) for lp, mp, dp, sn, any2 in strict
+                    if _walked(Tuple(dp - 1, g, r - 1, t.ell - lp + ((r - 1) * mp - sn) // 2, t.m - mp))
+                }),
+            ):
+                got = {(p.ell_prime, p.m_prime, p.d_prime, p.sum_n, p.any_ni_is_2) for p, _ in walk}
+                assert got == want, (tuple(t), got ^ want)
             wide = _master_instances_by_multisets(t, r - 1)
             assert strict <= wide
             if len(wide) > len(strict):
@@ -420,7 +484,7 @@ def test_measure_strictly_decreases_along_every_rule_edge():
     rng = random.Random(43)
     for t in _random_good_tuples(rng, 120):
         for rule in RuleId:
-            for _p, goals in enumerate_instances(rule, t):
+            for _p, goals in _instances(rule, t):
                 for s in goals:
                     assert measure(s) < measure(t), (tuple(t), rule, tuple(s))
                     assert s.r <= t.r and s.d <= t.d
@@ -459,8 +523,8 @@ def test_subgoal_twist_budget_lemma_exhaustive():
                         t = Tuple(d, g, r, ell, m)
                         if not _good(t):
                             continue
-                        for rule in (RuleId.MASTER, RuleId.MASTER_111):
-                            for p, goals in enumerate_instances(rule, t):
+                        for rule in _MASTER_FAMILY:
+                            for p, goals in _unpruned_master_family(rule, t):
                                 if p.d_prime == g + r and d != g + r:
                                     continue
                                 for s in goals:
@@ -474,7 +538,7 @@ def test_delta_windows_expressed_exactly():
     rng = random.Random(45)
     for t in _random_good_tuples(rng, 80):
         r = t.r
-        for p, _ in enumerate_instances(RuleId.MASTER, t):
+        for p, _ in _unpruned_master_family(RuleId.MASTER, t):
             x = p.ell_prime + 2 * (t.d - p.d_prime) + p.sum_n
             assert abs(delta(t) - x) <= 1 - Fraction(1, r - 1)
         for p, _ in enumerate_instances(RuleId.TWO_PROJ, t):
@@ -580,29 +644,36 @@ def _brute_force_instances(rule, t):
 
 def test_enumerators_match_a_brute_force_through_apply():
     # exact ordered equality, so an enumerator that drops an instance or
-    # reorders them fails; master-erasable's box is only affordable to r = 5
+    # reorders them fails; master-erasable's box is only affordable to r = 5.
+    # The master family's reference walk gives every instance, and the walk
+    # in rules those whose first subgoal meets the two clauses it reads
     checked = 0
     for t in _good_box_and_shell(7):
         for rule in RULE_ORDER:
             if rule is RuleId.MASTER_ERASABLE and t.r > 5:
                 continue
             want = _brute_force_instances(rule, t)
+            checked += len(want)
+            if rule in _MASTER_FAMILY:
+                assert list(_unpruned_master_family(rule, t)) == want, (tuple(t), rule)
+                want = [(p, goals) for p, goals in want if _walked(goals[0])]
             assert list(enumerate_instances(rule, t)) == want, (tuple(t), rule)
             want_good = [(p, goals) for p, goals in want if all(_good(s) for s in goals)]
             assert list(enumerate_instances(rule, t, _good)) == want_good, (tuple(t), rule)
-            checked += len(want)
     assert checked > 10_000
 
 
 # ---------------------------------------------------------------------------
-# first_instance against the first instance enumerate_instances yields
+# first_instance and enumerate_instances against the reference walk
 
 
 def _first_matches_enumeration(rule, t):
     """first_instance under goodness equals the enumeration's first hit.
-    For the master family, also every candidate that first_instance offers
-    meets the two clauses its least-d' start reads off the first subgoal
-    (d'-1, g, r-1, ell-bar, m-bar): 2 ell-bar <= r-1 and m-bar <= rho."""
+    For the master family both equal the reference walk's first instance
+    with good subgoals, the accept-all enumeration equals the reference's
+    instances whose first subgoal meets the two clauses the walk reads off
+    it, and every candidate that first_instance offers meets them: for
+    (d'-1, g, r-1, ell-bar, m-bar), 2 ell-bar <= r-1 and m-bar <= rho."""
     offered = []
 
     def good(s):
@@ -610,13 +681,20 @@ def _first_matches_enumeration(rule, t):
         return _good(s)
 
     got = first_instance(rule, t, good)
-    assert got == next(enumerate_instances(rule, t, _good), None), (tuple(t), rule)
-    if rule in (RuleId.MASTER, RuleId.MASTER_111):
-        # the subgoals at rank r-1 share 2 ell-bar with the first, and their
-        # m is m-bar or m-bar - 1
-        for s in offered:
-            if s.r == t.r - 1:
-                assert 2 * s.ell <= s.r and s.m <= rho(s.d, s.g, s.r), (tuple(t), rule, tuple(s))
+    if rule not in _MASTER_FAMILY:
+        assert got == next(enumerate_instances(rule, t, _good), None), (tuple(t), rule)
+        return
+    reference = list(_unpruned_master_family(rule, t))
+    want = next(((p, goals) for p, goals in reference if all(_good(s) for s in goals)), None)
+    assert got == want, (tuple(t), rule)
+    assert next(enumerate_instances(rule, t, _good), None) == want, (tuple(t), rule)
+    walked = [(p, goals) for p, goals in reference if _walked(goals[0])]
+    assert list(enumerate_instances(rule, t)) == walked, (tuple(t), rule)
+    # the subgoals at rank r-1 share 2 ell-bar with the first, and their m
+    # is m-bar or m-bar - 1
+    for s in offered:
+        if s.r == t.r - 1:
+            assert _walked(s), (tuple(t), rule, tuple(s))
 
 
 def test_first_instance_matches_enumeration_on_the_shell_and_the_sporadic_sweep():
@@ -666,9 +744,7 @@ def test_an_enumerated_candidate_the_check_refuses_is_an_invariant_violation(mon
     def defective(t):
         yield bad, spec.goals(t, bad)
 
-    monkeypatch.setitem(
-        rules_mod._RULES, RuleId.MASTER, spec._replace(candidates=defective, first_candidates=defective)
-    )
+    monkeypatch.setitem(rules_mod._RULES, RuleId.MASTER, spec._replace(candidates=defective))
     with pytest.raises(InvariantViolated, match="^master enumerated .*window"):
         list(enumerate_instances(RuleId.MASTER, t))
     with pytest.raises(InvariantViolated, match="^master enumerated .*window"):

@@ -66,3 +66,11 @@ def test_all_names_each_public_export():
     exec("from bninterp import *", ns)
     del ns["__builtins__"]
     assert set(ns) == set(names)
+
+
+def test_each_master_rule_has_one_walk():
+    # certify and the sweeps read the same enumerator; the unpruned walk is
+    # the reference in tests/test_rules.py
+    src = Path(rules.__file__).read_text(encoding="utf-8")
+    for name in ("least_good", "first_candidates"):
+        assert name not in src, name
