@@ -323,7 +323,7 @@ def certify_cmd(d, g, r, ell, m, json_path, axioms_path):
             cert.dump(json_path)
         click.echo(f"certificate with {len(cert.nodes)} nodes written to {json_path}")
     else:
-        click.echo(json.dumps(cert.to_json(), indent=1))
+        click.echo(cert.text(), nl=False)
 
 
 @main.command(name="verify")

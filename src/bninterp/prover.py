@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable, Collection, Iterable, Optional, Union
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
 
 from .core import COUNTEREXAMPLE_TRIPLES, SPORADIC30, XEX, DomainError, InvariantViolated, Tuple, is_good, measure, rho
 from .rules import (
@@ -159,13 +159,12 @@ class AxiomSet:
 # certificates
 
 
-@dataclass(frozen=True)
-class Axiom:
+# the justifications: immutable and hashable; `_replace` gives a changed copy
+class Axiom(NamedTuple):
     tag: str
 
 
-@dataclass(frozen=True)
-class RuleApp:
+class RuleApp(NamedTuple):
     rule: RuleId
     params: RuleParams
     children: tuple
@@ -173,6 +172,7 @@ class RuleApp:
 
 
 Justification = Union[Axiom, RuleApp]
+_RULE_BY_NAME = {rule.value: rule for rule in RuleId}
 
 
 def _json_object(doc) -> dict:
@@ -199,10 +199,8 @@ def _list_field(doc, key: str) -> list:
 
 def _tuple_from_json(v) -> Tuple:
     # exact types, so bool is refused along with float and str
-    if type(v) is list and len(v) == 5:
-        d, g, r, ell, m = v
-        if type(d) is type(g) is type(r) is type(ell) is type(m) is int:
-            return Tuple(d, g, r, ell, m)
+    if type(v) is list and len(v) == 5 and type(v[0]) is type(v[1]) is type(v[2]) is type(v[3]) is type(v[4]) is int:
+        return tuple.__new__(Tuple, v)
     raise ValueError(f"a tuple must be a list of 5 integers, got {v!r}")
 
 
@@ -231,38 +229,44 @@ class Certificate:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Certificate":
+        """Read a version-1 document in one pass.  Keys are tested inline; a
+        missing or refused value goes to the `_field` helpers only to be
+        named, so the ValueError raised is the first refusal in reading order."""
         version = _json_object(doc).get("version")
         if type(version) is not int or version != 1:  # true and 1.0 equal 1
             raise ValueError(f"unsupported certificate version {version!r}")
         nodes = {}
         for row in _list_field(doc, "nodes"):
-            t = _tuple_from_json(_field(row, "tuple"))
+            t = _tuple_from_json(row["tuple"] if isinstance(row, dict) and "tuple" in row else _field(row, "tuple"))
             if t in nodes:
                 raise ValueError(f"node {list(t)} listed twice")
-            jd = _field(row, "justification")
-            kind = _field(jd, "kind")
-            if kind == "axiom":
-                if type(tag := _field(jd, "tag")) is not str:
-                    raise ValueError(f"tag must be a string, got {type(tag).__name__}")
-                nodes[t] = Axiom(tag)
-            elif kind == "rule":
+            jd = row.get("justification")
+            kind = jd.get("kind") if isinstance(jd, dict) else None
+            if kind == "rule":
                 proviso = jd.get("proviso")
                 if proviso is not None and type(proviso) is not str:
                     raise ValueError(f"proviso must be a string, got {type(proviso).__name__}")
-                nodes[t] = RuleApp(
-                    rule=RuleId(_field(jd, "rule")),
-                    params=RuleParams.from_json(_field(jd, "params")),
-                    children=tuple(_tuple_from_json(c) for c in _list_field(jd, "children")),
-                    proviso=proviso,
-                )
+                name = jd.get("rule")
+                rule = _RULE_BY_NAME[name] if type(name) is str and name in _RULE_BY_NAME else RuleId(_field(jd, "rule"))
+                params = RuleParams.from_json(jd["params"] if "params" in jd else _field(jd, "params"))
+                if type(cs := jd.get("children")) is not list:
+                    _list_field(jd, "children")
+                nodes[t] = RuleApp(rule, params, tuple(map(_tuple_from_json, cs)), proviso)
+            elif kind == "axiom":
+                if type(tag := jd.get("tag")) is not str:
+                    raise ValueError(f"tag must be a string, got {type(_field(jd, 'tag')).__name__}")
+                nodes[t] = Axiom(tag)
             else:
-                raise ValueError(f"unknown justification kind {kind!r}")
+                raise ValueError(f"unknown justification kind {_field(_field(row, 'justification'), 'kind')!r}")
         return cls(root=_tuple_from_json(_field(doc, "root")), nodes=nodes)
+
+    def text(self) -> str:
+        """The certificate file: `to_json` indented by one, ending in a newline."""
+        return json.dumps(self.to_json(), indent=1) + "\n"
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+            fh.write(self.text())
 
     @classmethod
     def read(cls, path: str) -> "Certificate":
@@ -285,7 +289,7 @@ def certify(
     axiom, as the root is, so every node the search meets is one.  No rule
     raises r or d, so the search stays within the root's own r and d."""
     ax = axioms if axioms is not None else AxiomSet()
-    accept = lambda s: ax.tag_of(s) is not None or is_good(s).is_good  # noqa: E731
+    accept = lambda s: is_good(s).is_good or ax.tag_of(s) is not None  # noqa: E731
     if not accept(t):
         raise DomainError(f"tuple is not good ({', '.join(is_good(t).failures)}) and is not an axiom")
     mm = {} if memo is None else memo

@@ -104,6 +104,8 @@ class RuleParams(NamedTuple):
     k: Optional[int] = None
 
     def to_json(self) -> dict:
+        if self == _NO_PARAMS:  # most rules' params, at one comparison
+            return {}
         doc = {}
         for name, v in zip(self._fields, self):
             if name == "any_ni_is_2":
@@ -124,7 +126,7 @@ class RuleParams(NamedTuple):
             want = bool if key == "any_ni_is_2" else int
             if type(v) is not want:
                 raise ValueError(f"parameter {key} must be {want.__name__}, got {v!r}")
-        return cls(**doc)
+        return tuple.__new__(cls, map(doc.get, cls._fields, _NO_PARAMS)) if doc else _NO_PARAMS
 
 
 _NO_PARAMS = RuleParams()
@@ -669,7 +671,10 @@ def _single_instance(spec: _Rule, t: Tuple, accept: Callable) -> Optional[tuple[
     if p is None or spec.check(t, p) is not None:
         return None
     goals = spec.goals(t, p)
-    return (p, goals) if all(accept(s) for s in goals) else None
+    for s in goals:
+        if not accept(s):
+            return None
+    return p, goals
 
 
 def _kept(

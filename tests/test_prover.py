@@ -3,8 +3,9 @@ memoization, independent certificate verification with tamper detection,
 the sporadic sweep, and the large-r coverage check."""
 
 import copy
-import dataclasses
 import json
+import pickle
+import random
 
 import pytest
 
@@ -200,11 +201,46 @@ def test_certify_shares_memo_across_calls():
     assert len(memo) > size_after_first
 
 
+def _round_trip_roots() -> list:
+    """A seeded sample of good roots of rank 3 to 7 whose certificates
+    have several nodes, plus one of rank 14 and one by delta-1-step, whose
+    row carries a proviso."""
+    rng = random.Random(22)
+    roots = [Tuple(26, 0, 14, 0, 1), Tuple(22, 3, 17, 0, 0)]
+    while len(roots) < 41:
+        r = rng.randint(3, 7)
+        g = rng.randint(0, 8)
+        d = rng.randint(g + r, g + 2 * r + 3)
+        t = Tuple(d, g, r, rng.randint(0, r // 2), rng.randint(0, max(rho(d, g, r), 0)))
+        if is_good(t).is_good and t not in roots and len(certify(t).nodes) >= 3:
+            roots.append(t)
+    return roots
+
+
 def test_certificate_json_round_trip_is_exact():
-    cert = certify(Tuple(26, 0, 14, 0, 1))
-    back = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
-    assert back.root == cert.root
-    assert back.nodes == cert.nodes
+    for t in _round_trip_roots():
+        cert = certify(t)
+        text = json.dumps(cert.to_json())
+        back = Certificate.from_json(json.loads(text))
+        assert json.dumps(back.to_json()) == text, t
+        assert back.root == cert.root
+        assert back.nodes == cert.nodes
+        assert verify_certificate(back), t
+
+
+def test_justifications_are_immutable_and_pickle():
+    cert = certify(Tuple(13, 2, 6, 1, 0))
+    app = cert.nodes[cert.root]
+    ax = cert.nodes[Tuple(2, 0, 2, 0, 0)]
+    assert isinstance(app, RuleApp) and isinstance(ax, Axiom)
+    with pytest.raises(AttributeError):
+        app.rule = RuleId.MASTER
+    with pytest.raises(AttributeError):
+        ax.tag = "Sporadic30"
+    assert {app: 1, ax: 2}[app] == 1
+    back = pickle.loads(pickle.dumps(cert.nodes))
+    assert back == cert.nodes
+    assert verify_certificate(Certificate(root=cert.root, nodes=back))
 
 
 def test_verify_detects_tampering():
@@ -215,7 +251,7 @@ def test_verify_detects_tampering():
     # child list altered
     bad = Certificate(root=cert.root, nodes=dict(cert.nodes))
     j = bad.nodes[t]
-    bad.nodes[t] = dataclasses.replace(j, children=(Tuple(2, 0, 2, 0, 1),))
+    bad.nodes[t] = j._replace(children=(Tuple(2, 0, 2, 0, 1),))
     res = verify_certificate(bad)
     assert not res and res.code == "ChildMismatch"
 
@@ -236,9 +272,7 @@ def test_verify_detects_tampering():
     j2 = cert2.nodes[Tuple(13, 2, 6, 1, 0)]
     assert isinstance(j2, RuleApp)
     bad = Certificate(root=cert2.root, nodes=dict(cert2.nodes))
-    bad.nodes[Tuple(13, 2, 6, 1, 0)] = dataclasses.replace(
-        j2, rule=RuleId.PEEL_ONION
-    )
+    bad.nodes[Tuple(13, 2, 6, 1, 0)] = j2._replace(rule=RuleId.PEEL_ONION)
     res = verify_certificate(bad)
     assert not res and res.code in ("PreconditionViolated", "ChildMismatch")
 
@@ -492,3 +526,78 @@ def test_certificate_json_schema_takes_integers_only():
     ]:
         with pytest.raises(ValueError):
             Certificate.from_json(edited(path, value))
+
+
+_GONE = object()  # a path value that deletes the key
+
+
+def _edited(doc, *edits):
+    bad = copy.deepcopy(doc)
+    for path, value in edits:
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        if value is _GONE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+    return bad
+
+
+# certify(13, 2, 6, 1, 0): row 0 is the root, by gather-lines with no
+# params; row 2 is by master with params; row 5 is the SmallR axiom
+_REFUSALS = [
+    ([(["rule"], ["master"])], "['master'] is not a valid RuleId"),
+    ([(["rule"], {"a": 1})], "{'a': 1} is not a valid RuleId"),
+    ([(["rule"], "bogus")], "'bogus' is not a valid RuleId"),
+    ([(["rule"], None)], "None is not a valid RuleId"),
+    ([(["kind"], ["rule"])], "unknown justification kind ['rule']"),
+    ([(["kind"], None)], "unknown justification kind None"),
+    ([(["nodes", 1], [1, 2])], "expected a JSON object, got list"),
+    ([(["nodes", 1, "justification"], ["kind", "rule"])], "expected a JSON object, got list"),
+    ([(["nodes", 1, "justification"], None)], "expected a JSON object, got NoneType"),
+    ([(["params"], [])], "params must be an object, got []"),
+    ([(["nodes", 2, "justification", "params", "hint"], 1)], "unknown parameter 'hint'"),
+    ([(["nodes", 2, "justification", "params", "ell_prime"], 2.0)], "parameter ell_prime must be int, got 2.0"),
+    ([(["children"], {})], "children must be a list, got dict"),
+    ([(["children", 0], [1, 2])], "a tuple must be a list of 5 integers, got [1, 2]"),
+    ([(["proviso"], ["x"])], "proviso must be a string, got list"),
+    ([(["nodes", 5, "justification", "tag"], _GONE)], "missing key 'tag'"),
+    ([(["nodes", 5, "justification", "tag"], None)], "tag must be a string, got NoneType"),
+    ([(["version"], "1")], "unsupported certificate version '1'"),
+    ([(["version"], _GONE)], "unsupported certificate version None"),
+    ([(["root"], _GONE)], "missing key 'root'"),
+    ([(["root"], None)], "a tuple must be a list of 5 integers, got None"),
+    ([(["nodes"], _GONE)], "missing key 'nodes'"),
+    ([(["nodes"], {})], "nodes must be a list, got dict"),
+    ([(["nodes", 1, "tuple"], _GONE)], "missing key 'tuple'"),
+    ([(["nodes", 1, "justification"], _GONE)], "missing key 'justification'"),
+    *[([([key], _GONE)], f"missing key {key!r}") for key in ("kind", "rule", "params", "children")],
+    ([(["nodes", 1, "tuple"], [13, 2, 6, 1, 0])], "node [13, 2, 6, 1, 0] listed twice"),
+    # the first refusal in reading order is the one reported
+    ([(["nodes", 1, "tuple"], [13, 2, 6, 1, 0]), (["nodes", 1, "justification"], _GONE)],
+     "node [13, 2, 6, 1, 0] listed twice"),
+    ([(["rule"], "bogus"), (["params"], [])], "'bogus' is not a valid RuleId"),
+    ([(["proviso"], 1), (["rule"], "bogus")], "proviso must be a string, got int"),
+    ([(["nodes", 3, "tuple"], "x"), (["root"], _GONE)], "a tuple must be a list of 5 integers, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("edits, message", _REFUSALS)
+def test_certificate_reader_refusals_are_pinned(edits, message):
+    # the text and order of every refusal, as the reader gave them before
+    # it became one pass; an edit path that does not start at the document
+    # edits the root row's justification
+    doc = certify(Tuple(13, 2, 6, 1, 0)).to_json()
+    root_row = ["nodes", 0, "justification"]
+    edits = [(path if path[0] in ("nodes", "root", "version") else root_row + path, v) for path, v in edits]
+    with pytest.raises(ValueError) as e:
+        Certificate.from_json(_edited(doc, *edits))
+    assert str(e.value) == message
+
+
+def test_certificate_reader_refuses_a_document_that_is_not_an_object():
+    for doc in ([], None, "x"):
+        with pytest.raises(ValueError) as e:
+            Certificate.from_json(doc)
+        assert str(e.value) == f"expected a JSON object, got {type(doc).__name__}"

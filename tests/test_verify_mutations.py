@@ -2,7 +2,6 @@
 damage its certificate in one place, and check that the verifier (or the
 JSON reader) names exactly that damage."""
 
-import dataclasses
 import json
 
 import pytest
@@ -85,7 +84,7 @@ def test_swapping_two_distinct_children_is_detected(pool, data):
     )
     children = list(j.children)
     children[i], children[k] = children[k], children[i]
-    res = verify_certificate(_replaced(cert, node, dataclasses.replace(j, children=tuple(children))))
+    res = verify_certificate(_replaced(cert, node, j._replace(children=tuple(children))))
     assert res.code == "ChildMismatch", (t, node, i, k, res)
 
 
@@ -100,7 +99,7 @@ def test_moving_an_integer_param_by_one_is_detected(pool, data):
     key = data.draw(st.sampled_from(_int_params(j)))
     step = data.draw(st.sampled_from((-1, 1)))
     params = j.params._replace(**{key: getattr(j.params, key) + step})
-    res = verify_certificate(_replaced(cert, node, dataclasses.replace(j, params=params)))
+    res = verify_certificate(_replaced(cert, node, j._replace(params=params)))
     assert res.code in ("PreconditionViolated", "ChildMismatch"), (t, node, key, step, res)
 
 
@@ -116,7 +115,7 @@ def test_a_foreign_param_is_detected(pool, data):
     key = data.draw(st.sampled_from([k for k in RuleParams._fields if k not in j.params.to_json()]))
     value = True if key == "any_ni_is_2" else data.draw(st.integers(-2, 99))
     params = j.params._replace(**{key: value})
-    res = verify_certificate(_replaced(cert, node, dataclasses.replace(j, params=params)))
+    res = verify_certificate(_replaced(cert, node, j._replace(params=params)))
     assert res.code == "PreconditionViolated", (t, node, key, value, res)
 
 
@@ -138,7 +137,7 @@ def test_a_made_up_proviso_is_detected(pool, data):
     node = data.draw(st.sampled_from(sorted(n for n, j in cert.nodes.items() if isinstance(j, RuleApp))))
     j = cert.nodes[node]
     proviso = data.draw(st.sampled_from([p for p in (None, PROVISO_DELTA1, "assumes nothing") if p != j.proviso]))
-    res = verify_certificate(_replaced(cert, node, dataclasses.replace(j, proviso=proviso)))
+    res = verify_certificate(_replaced(cert, node, j._replace(proviso=proviso)))
     assert res.code == "ProvisoMismatch", (t, node, proviso, res)
 
 
