@@ -11,8 +11,8 @@ so a verifier bug cannot hide behind a search bug.
 
 from __future__ import annotations
 
+import gc
 import json
-import multiprocessing
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -109,6 +109,8 @@ def _pmap(fn: Callable, items: list, workers: int, chunksize: int = 1) -> list:
     n = min(workers, len(items))
     if n <= 1:
         return [fn(x) for x in items]
+    import multiprocessing  # here, so that importing the package does not load it
+
     with multiprocessing.get_context("fork").Pool(n) as pool:
         return pool.map(fn, items, chunksize=chunksize)
 
@@ -402,10 +404,11 @@ def verify_certificate(
                     "ProvisoMismatch",
                     f"{node} via {j.rule.value}: proviso {j.proviso!r}, expected {PROVISOS.get(j.rule)!r}",
                 )
+            at = measure(node)
             for child in j.children:
                 if child not in cert.nodes:
                     return fail("MissingNode", f"{node} child {child} absent")
-                if not measure(child) < measure(node):
+                if not measure(child) < at:
                     return fail(
                         "MeasureViolation",
                         f"{node} -> {child} does not decrease (r, d, m)",
@@ -486,7 +489,7 @@ def find_reduction(t: Tuple, rules: Iterable[RuleId] = RULE_ORDER) -> Optional[t
     return None
 
 
-def _dispatch(t: Tuple, table: dict) -> Optional[tuple]:
+def _dispatch(table: dict, t: Tuple) -> Optional[tuple]:
     """find_reduction over the rules of `t`'s shape class in a sweep's table."""
     return find_reduction(t, table[_shape(t)])
 
@@ -518,10 +521,22 @@ def run_sporadic_search(
     workers = check_workers(workers)
     if r_max < 3:
         raise DomainError(f"rmax {r_max} leaves no rank to sweep (the sweep starts at r = 3)")
-    tuples = enumerate_sporadic(r_max)
     table = _rule_table(set(disabled))
-    found = _pmap(partial(_dispatch, table=table), tuples, workers, chunksize=64)
-    witnesses = dict(zip(tuples, found))
+    # The witness table holds about five collector-tracked objects per tuple
+    # and no reference cycle, so each collection during the build would only
+    # walk it again.  The collector is paused while it is built (forked
+    # workers inherit the pause) and the caller's setting is restored however
+    # the build ends.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tuples = enumerate_sporadic(r_max)
+        # positional: a keyword partial builds a dict on every call
+        found = _pmap(partial(_dispatch, table), tuples, workers, chunksize=64)
+        witnesses = dict(zip(tuples, found))
+    finally:
+        if enabled:
+            gc.enable()
     irreducible = [t for t, w in witnesses.items() if w is None]
     return SporadicReport(
         r_max=r_max,
@@ -555,7 +570,7 @@ def _thm14_one_r(r: int) -> tuple:
         if in_box:
             if _in_sweep(t):
                 examined += 1
-                if _dispatch(t, _THM14_TABLE) is None:
+                if _dispatch(_THM14_TABLE, t) is None:
                     uncovered.append(t)
         elif is_good(t).is_good:
             checked += 1

@@ -3,6 +3,7 @@ memoization, independent certificate verification with tamper detection,
 the sporadic sweep, and the large-r coverage check."""
 
 import copy
+import gc
 import json
 import pickle
 import random
@@ -341,6 +342,66 @@ def test_sporadic_parallel_report_equals_serial():
     assert all(w is None or w[2] for w in b.witnesses.values())
     # stored in sweep order, so `rows` and `irreducible` need no sort
     assert list(b.witnesses) == sorted(b.witnesses, key=prover.sweep_order)
+
+
+@pytest.fixture
+def collector():
+    """Restore the cyclic collector's setting after the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_sporadic_sweep_pauses_the_collector_and_restores_its_setting(collector, monkeypatch, enabled):
+    dispatch = prover._dispatch
+    seen = []
+
+    def spy(table, t):
+        seen.append(gc.isenabled())
+        return dispatch(table, t)
+
+    monkeypatch.setattr(prover, "_dispatch", spy)
+    (gc.enable if enabled else gc.disable)()
+    run_sporadic_search(r_max=5)
+    assert gc.isenabled() is enabled
+    assert seen and not any(seen)
+
+
+@pytest.mark.parametrize("exc", [InvariantViolated, KeyboardInterrupt])
+def test_sporadic_sweep_restores_the_collector_when_a_tuple_raises(collector, monkeypatch, exc):
+    dispatch = prover._dispatch
+    calls = []
+
+    def fail_on_100th(table, t):
+        calls.append(t)
+        if len(calls) == 100:
+            raise exc("planted")
+        return dispatch(table, t)
+
+    monkeypatch.setattr(prover, "_dispatch", fail_on_100th)
+    gc.enable()
+    with pytest.raises(exc, match="planted"):
+        run_sporadic_search(r_max=5)
+    assert gc.isenabled()
+    assert len(calls) == 100
+
+
+def test_the_paused_sweep_leaves_no_garbage(collector):
+    # the table is acyclic, so nothing the pause leaves behind is garbage.
+    # Importing multiprocessing leaves some cyclic garbage once, and the
+    # sweep imports it in its first forked map, so it is imported first.
+    import multiprocessing  # noqa: F401
+
+    gc.collect()
+    gc.disable()
+    run_sporadic_search(r_max=10)
+    assert gc.collect() == 0
+    run_sporadic_search(r_max=6, workers=2)
+    assert gc.collect() == 0
 
 
 def test_check_workers_rejects_below_one_and_clamps_to_cpu_count(monkeypatch):

@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -74,3 +76,11 @@ def test_each_master_rule_has_one_walk():
     src = Path(rules.__file__).read_text(encoding="utf-8")
     for name in ("least_good", "first_candidates"):
         assert name not in src, name
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    # only the forking branch of the parallel map uses it, and imports it there
+    src = str(Path(bninterp.__file__).parent.parent)
+    code = "import sys; import bninterp.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
