@@ -438,16 +438,6 @@ def _rows(r: int):
             yield g, d, min(rho(d, g, r), r + 1), m_box
 
 
-def _grid(r: int):
-    """(t, in_box) over the rank-r shell, in (g, d, ell, m) order.  The
-    shell contains the box, which the sporadic sweep and the large-r
-    coverage check dispatch by rule."""
-    for g, d, m_top, m_box in _rows(r):
-        for ell in range(0, r // 2 + 1):
-            for m in range(0, m_top + 1):
-                yield Tuple(d, g, r, ell, m), m <= m_box
-
-
 def _in_sweep(t: Tuple) -> bool:
     """Good and off the delta = 1, ell = m = 0 locus, which has its own descent."""
     on_delta1 = t.ell == 0 and t.m == 0 and 2 * t.d + 2 * t.g == 3 * t.r - 1
@@ -566,14 +556,17 @@ def _thm14_one_r(r: int) -> tuple:
     """(box tuples examined, uncovered; good shell tuples outside the box) at rank r."""
     examined = checked = 0
     uncovered = []
-    for t, in_box in _grid(r):
-        if in_box:
-            if _in_sweep(t):
-                examined += 1
-                if _dispatch(_THM14_TABLE, t) is None:
-                    uncovered.append(t)
-        elif is_good(t).is_good:
-            checked += 1
+    for g, d, m_top, m_box in _rows(r):
+        for ell in range(0, r // 2 + 1):
+            for m in range(0, m_top + 1):
+                t = Tuple(d, g, r, ell, m)
+                if m <= m_box:
+                    if _in_sweep(t):
+                        examined += 1
+                        if _dispatch(_THM14_TABLE, t) is None:
+                            uncovered.append(t)
+                elif is_good(t).is_good:
+                    checked += 1
     return examined, uncovered, checked
 
 

@@ -1,14 +1,14 @@
 """Reduction rules: checked implications from one tuple to subgoal tuples.
 
 The rules are moves in P^r for r >= 3; rank <= 2 is the SmallR base case,
-and the enumerators give nothing there.  Each rule has one check, which
-returns the first violated hypothesis of its inductive argument (or None),
-a subgoal formula and the RuleParams fields it reads; the three rules with
-twist heights share one hypothesis block, which implies ell-bar >= 0
-without a clause for it.  `apply` raises a parameter set other than those
-fields, then r < 3, then the violated hypothesis, as PreconditionViolated
-and otherwise returns the subgoals; `verify_certificate` trusts it.  The
-rule layer never decides whether a subgoal "holds": that is the caller's.
+and the enumerators give nothing there.  Each rule states the hypotheses
+of its inductive argument, the subgoals they imply and the RuleParams
+fields it reads; the three rules with twist heights share one hypothesis
+block, which implies ell-bar >= 0 without a clause for it.  `apply` raises
+a parameter set other than those fields, then r < 3, then the first
+violated hypothesis, as PreconditionViolated and otherwise returns the
+subgoals; `verify_certificate` trusts it.  The rule layer never decides
+whether a subgoal "holds": that is the caller's.
 
 All delta-window comparisons |delta - X| <= 1 - c/(r-1) are evaluated in
 cross-multiplied integer form |N - X(r-1)| <= (r-1) - c, where N is the
@@ -28,14 +28,18 @@ subgoals.  Every window margin is below r - 1, so a window admits at most
 two consecutive centres X, and only one of them has the parity the
 parameters force.  A rule with at most one instance computes its free
 parameter from the tuple (eps from the window centre, k = (r-1)//2, or
-none), and its check -- the code `apply` runs -- is its guard and runs
-before the caller's `accept`.  A rule with many instances (the master
-family, master-erasable) has an enumerator that solves the guard: the
-centre confines d' to a closed-form interval, and only that interval is
-visited.  Its candidates go to `accept` first and the check runs only on
-those `accept` kept, so rejected candidates are never validated; a kept
-candidate that fails the check is a defect in its enumerator and raises
-InvariantViolated.
+none) and is one function (t, p), the code `apply` runs: its hypotheses in
+order, the first violated one returned as a string, then its subgoals.  So
+it is its own guard and runs before the caller's `accept`.  A rule with
+many instances (the master family, master-erasable) has an enumerator that
+solves the guard: the centre confines d' to a closed-form interval, and
+only that interval is visited.  The enumerator builds each candidate's
+subgoals from its loop state, and they go to `accept` first; the rule's
+check runs alone, on the candidates `accept` kept, so rejected candidates
+are never validated and no subgoal is built twice.  That is why these
+rules keep their check apart from their subgoal formula, and `apply` runs
+the one, then the other.  A kept candidate that fails the check is a
+defect in its enumerator and raises InvariantViolated.
 
 Master-family contract.  The master family has one walk, which starts
 each (ell', m') cell at the least d' whose first subgoal s meets two of
@@ -188,7 +192,7 @@ def _window_centre(n: int, k: int, margin: int, parity: int) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# the rules: one check and one subgoal formula each
+# the rules: one function each, or a check and a subgoal formula
 
 
 def _check_twisted_heights(t: Tuple, p: RuleParams, gp: int) -> Optional[str]:
@@ -257,6 +261,13 @@ def _erasable_collection(t: Tuple, lp: int, mp: int, mpp: int, gp: int, eout: in
     )
 
 
+def _erasable_base(t: Tuple, lp: int, mp: int, mpp: int, gp: int, eout: int) -> int:
+    """Master-erasable's window centre less 2 eps_in + sum_n: (g - g') + m''
+    + ell' + w // (r-1), with w = 2 eps_out + 3(g - g') + m + m' + ell'."""
+    w = 2 * eout + 3 * (t.g - gp) + t.m + mp + lp
+    return (t.g - gp) + mpp + lp + w // (t.r - 1)
+
+
 def _check_master_erasable(t: Tuple, p: RuleParams) -> Optional[str]:
     why = _check_twisted_heights(t, p, p.g_prime)
     if why is not None:
@@ -273,9 +284,7 @@ def _check_master_erasable(t: Tuple, p: RuleParams) -> Optional[str]:
         return "secancy split does not match degree drop"
     if not erasable_fast(_erasable_collection(t, lp, mp, mpp, gp, eout), r):
         return "collection not erasable"
-    w = 2 * eout + 3 * (g - gp) + m + mp + lp
-    x = 2 * ein + (g - gp) + mpp + lp + w // (r - 1) + p.sum_n
-    if _window_missed(t, x, r - 2):
+    if _window_missed(t, 2 * ein + _erasable_base(t, lp, mp, mpp, gp, eout) + p.sum_n, r - 2):
         return "delta window missed"
     return None
 
@@ -286,42 +295,30 @@ def _goals_master_erasable(t: Tuple, p: RuleParams) -> list[Tuple]:
     return [Tuple(p.d_prime - 1, p.g_prime, t.r - 1, lbar, mb) for mb in range(top - p.m_dprime, top + 1)]
 
 
-def _check_gather_lines(t: Tuple, p: RuleParams) -> Optional[str]:
+def _gather_lines(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     if t.d < t.g + 2 * t.r - 1:
         return "degree below g + 2r - 1"
-    return None
-
-
-def _goals_gather_lines(t: Tuple, p: RuleParams) -> list[Tuple]:
     d, g, r, ell, m = t
     return [Tuple(d - (r - 1), g, r, ell, m)]
 
 
-def _check_peel_onion(t: Tuple, p: RuleParams) -> Optional[str]:
+def _peel_onion(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     if t.g < t.r:
         return "genus below r"
     if not is_good(t).is_good:
         return "source tuple not good"
-    return None
-
-
-def _goals_peel_onion(t: Tuple, p: RuleParams) -> list[Tuple]:
     d, g, r, ell, m = t
     return [Tuple(d - (r - 1), g - r, r, ell, m + 1)]
 
 
-def _check_pancake_onions(t: Tuple, p: RuleParams) -> Optional[str]:
+def _pancake_onions(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     if t.m < t.r - 1:
         return "m below r - 1"
-    return None
-
-
-def _goals_pancake_onions(t: Tuple, p: RuleParams) -> list[Tuple]:
     d, g, r, ell, m = t
     return [Tuple(d, g, r, ell, m - (r - 1))]
 
 
-def _check_two_proj(t: Tuple, p: RuleParams) -> Optional[str]:
+def _two_proj(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     d, g, r, ell, m = t
     eps = p.eps
     if ell != 0:
@@ -336,43 +333,30 @@ def _check_two_proj(t: Tuple, p: RuleParams) -> Optional[str]:
         return "eps must be strictly below (d - g - r)/2 when g = 0"
     if _window_missed(t, 2 * eps + 1, r - 3):
         return "delta window missed"
-    return None
+    return [Tuple(d - 2 * eps - 2, g, r - 2, 0, 1)]
 
 
-def _goals_two_proj(t: Tuple, p: RuleParams) -> list[Tuple]:
-    return [Tuple(t.d - 2 * p.eps - 2, t.g, t.r - 2, 0, 1)]
-
-
-def _check_delta_5(t: Tuple, p: RuleParams) -> Optional[str]:
+def _delta_5(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     k = p.k
     if k < 3:
         return "k below 3"
     if t != (4 * k + 1, 2 * k - 1, 2 * k + 1, 0, 1):
         return "tuple is not (4k+1, 2k-1, 2k+1, 0, 1)"
-    return None
-
-
-def _goals_delta_5(t: Tuple, p: RuleParams) -> list[Tuple]:
-    k = p.k
     return [Tuple(4 * k - 3, 2 * k - 2, 2 * k - 1, k - 3, 0)]
 
 
-def _check_m0_delta_2(t: Tuple, p: RuleParams) -> Optional[str]:
+def _m0_delta_2(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     if t.m != 0:
         return "m must be 0"
     if t.g < 1:
         return "genus must be positive"
     if _window_missed(t, 2, t.r - 2):
         return "delta window missed"
-    return None
-
-
-def _goals_m0_delta_2(t: Tuple, p: RuleParams) -> list[Tuple]:
     d, g, r, ell, m = t
     return [Tuple(d - 2, g - 1, r - 1, ell + 1, 0)]
 
 
-def _check_m0_delta_35(t: Tuple, p: RuleParams) -> Optional[str]:
+def _m0_delta_35(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     d, g, r, ell, m = t
     eps = p.eps
     if m != 0:
@@ -387,16 +371,11 @@ def _check_m0_delta_35(t: Tuple, p: RuleParams) -> Optional[str]:
         return "eps exceeds (d - g - r)/3"
     if _window_missed(t, 2 * eps + 3, r - 4):
         return "delta window missed"
-    return None
-
-
-def _goals_m0_delta_35(t: Tuple, p: RuleParams) -> list[Tuple]:
-    d, g, r, ell, m = t
-    dd = d - 3 * p.eps - 6
+    dd = d - 3 * eps - 6
     return [Tuple(dd, g - 3, r - 3, ell + 1, 0), Tuple(dd, g - 3, r - 3, ell, 0)]
 
 
-def _check_m0_delta_4(t: Tuple, p: RuleParams) -> Optional[str]:
+def _m0_delta_4(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     if t.m != 0:
         return "m must be 0"
     if t.g < 3:
@@ -405,15 +384,11 @@ def _check_m0_delta_4(t: Tuple, p: RuleParams) -> Optional[str]:
         return "r below 6"
     if _window_missed(t, 4, t.r - 3):
         return "delta window missed"
-    return None
-
-
-def _goals_m0_delta_4(t: Tuple, p: RuleParams) -> list[Tuple]:
     d, g, r, ell, m = t
     return [Tuple(d - 5, g - 3, r - 2, ell + 1, 0), Tuple(d - 5, g - 3, r - 2, ell, 0)]
 
 
-def _check_delta_1_step(t: Tuple, p: RuleParams) -> Optional[str]:
+def _delta_1_step(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     d, g, r, ell, m = t
     if ell != 0 or m != 0:
         return "ell and m must be 0"
@@ -421,17 +396,13 @@ def _check_delta_1_step(t: Tuple, p: RuleParams) -> Optional[str]:
         return "not on the 2d + 2g = 3r - 1 locus"
     if d <= g + r:
         return "degree must exceed g + r"
-    return None
-
-
-def _goals_delta_1_step(t: Tuple, p: RuleParams) -> list[Tuple]:
-    return [Tuple(t.d - 3, t.g, t.r - 2, 0, 0)]
+    return [Tuple(d - 3, g, r - 2, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
 # instance parameters.  A rule with at most one instance has a function
 # that computes its free parameter from the tuple, or None when the window
-# holds no centre, and its check decides the rest.  A rule with many
+# holds no centre, and the rule decides the rest.  A rule with many
 # instances has an enumerator that yields (RuleParams, subgoals) for the
 # parameter choices that meet its guard, in canonical order.
 
@@ -547,8 +518,7 @@ def _master_erasable_candidates(t: Tuple) -> Iterator[tuple[RuleParams, list[Tup
                     dp_lo = gp + r + (1 if (gp == 0 and m != 0) else 0)
                     dp_cap = d - g + gp
                     for eout in range(0, dp_cap - dp_lo + 1):
-                        w = 2 * eout + 3 * (g - gp) + m + mp + lp
-                        b = (g - gp) + mpp + lp + w // k
+                        b = _erasable_base(t, lp, mp, mpp, gp, eout)
                         x = centres[(b + mp * k) % 2]
                         if x is None:
                             continue
@@ -573,45 +543,53 @@ def _master_erasable_candidates(t: Tuple) -> Iterator[tuple[RuleParams, list[Tup
 
 
 class _Rule(NamedTuple):
-    check: Callable[[Tuple, RuleParams], Optional[str]]
-    goals: Callable[[Tuple, RuleParams], list[Tuple]]
+    # (t, p) -> the first violated hypothesis, or the subgoals; `apply` runs it
+    run: Callable[[Tuple, RuleParams], str | list[Tuple]]
     # the RuleParams fields the rule reads; `apply` needs `p` to set just these
     fields: tuple[str, ...] = ()
     # a rule with at most one instance: (t) -> its RuleParams or None; left
     # None when the rule has no parameters
     params: Optional[Callable[[Tuple], Optional[RuleParams]]] = None
-    # (t) -> (RuleParams, subgoals) pairs of a rule with many instances
+    # a rule with many instances: (t) -> (RuleParams, subgoals) pairs, and
+    # its check alone, which validates a candidate `accept` kept
     candidates: Optional[Callable] = None
+    check: Optional[Callable[[Tuple, RuleParams], Optional[str]]] = None
+
+
+def _checked(check: Callable, goals: Callable, t: Tuple, p: RuleParams) -> str | list[Tuple]:
+    why = check(t, p)
+    return goals(t, p) if why is None else why
 
 
 def _master_family_rule(offset: int, strict: bool, formula: Callable) -> _Rule:
     # positional partials: a keyword partial builds a dict on every call
+    check = partial(_check_master_family, offset, strict)
     return _Rule(
-        partial(_check_master_family, offset, strict),
-        partial(_goals_master_family, formula),
+        partial(_checked, check, partial(_goals_master_family, formula)),
         ("ell_prime", "m_prime", "d_prime", "sum_n", "any_ni_is_2"),
         candidates=partial(_master_family_candidates, offset, strict, formula),
+        check=check,
     )
 
 
 # in search order: cheapest guards first; affects only reported witnesses
 _RULES: dict[RuleId, _Rule] = {
-    RuleId.GATHER_LINES: _Rule(_check_gather_lines, _goals_gather_lines),
-    RuleId.PEEL_ONION: _Rule(_check_peel_onion, _goals_peel_onion),
-    RuleId.PANCAKE_ONIONS: _Rule(_check_pancake_onions, _goals_pancake_onions),
-    RuleId.M0_DELTA_2: _Rule(_check_m0_delta_2, _goals_m0_delta_2),
-    RuleId.M0_DELTA_4: _Rule(_check_m0_delta_4, _goals_m0_delta_4),
-    RuleId.M0_DELTA_35: _Rule(_check_m0_delta_35, _goals_m0_delta_35, ("eps",), partial(_window_eps, 4, 3)),
-    RuleId.TWO_PROJ: _Rule(_check_two_proj, _goals_two_proj, ("eps",), partial(_window_eps, 3, 1)),
-    RuleId.DELTA_5: _Rule(_check_delta_5, _goals_delta_5, ("k",), _delta_5_params),
-    RuleId.DELTA_1_STEP: _Rule(_check_delta_1_step, _goals_delta_1_step),
+    RuleId.GATHER_LINES: _Rule(_gather_lines),
+    RuleId.PEEL_ONION: _Rule(_peel_onion),
+    RuleId.PANCAKE_ONIONS: _Rule(_pancake_onions),
+    RuleId.M0_DELTA_2: _Rule(_m0_delta_2),
+    RuleId.M0_DELTA_4: _Rule(_m0_delta_4),
+    RuleId.M0_DELTA_35: _Rule(_m0_delta_35, ("eps",), partial(_window_eps, 4, 3)),
+    RuleId.TWO_PROJ: _Rule(_two_proj, ("eps",), partial(_window_eps, 3, 1)),
+    RuleId.DELTA_5: _Rule(_delta_5, ("k",), _delta_5_params),
+    RuleId.DELTA_1_STEP: _Rule(_delta_1_step),
     RuleId.MASTER: _master_family_rule(0, False, _master_goals),
     RuleId.MASTER_111: _master_family_rule(1, True, _master_111_goals),
     RuleId.MASTER_ERASABLE: _Rule(
-        _check_master_erasable,
-        _goals_master_erasable,
+        partial(_checked, _check_master_erasable, _goals_master_erasable),
         ("ell_prime", "m_prime", "m_dprime", "d_prime", "g_prime", "eps_in", "eps_out", "sum_n", "any_ni_is_2"),
         candidates=_master_erasable_candidates,
+        check=_check_master_erasable,
     ),
 }
 RULE_ORDER = tuple(_RULES)
@@ -653,11 +631,10 @@ def _parameter_violation(rule: RuleId, p: RuleParams) -> Optional[str]:
 def apply(rule: RuleId, t: Tuple, p: RuleParams = _NO_PARAMS) -> list[Tuple]:
     """Check that `p` sets exactly the fields `rule` reads, then r >= 3, then
     every hypothesis of `rule` at `t`; return the subgoals or raise PreconditionViolated."""
-    spec = _RULES[rule]
-    why = _parameter_violation(rule, p) or ("r < 3" if t.r < 3 else spec.check(t, p))
-    if why is not None:
-        raise PreconditionViolated(why)
-    return spec.goals(t, p)
+    out = _parameter_violation(rule, p) or ("r < 3" if t.r < 3 else _RULES[rule].run(t, p))
+    if type(out) is str:
+        raise PreconditionViolated(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -665,12 +642,11 @@ def apply(rule: RuleId, t: Tuple, p: RuleParams = _NO_PARAMS) -> list[Tuple]:
 
 
 def _single_instance(spec: _Rule, t: Tuple, accept: Callable) -> Optional[tuple[RuleParams, list[Tuple]]]:
-    """The instance of a rule with at most one: its check is its guard and
+    """The instance of a rule with at most one: the rule is its own guard and
     runs before `accept`."""
     p = _NO_PARAMS if spec.params is None else spec.params(t)
-    if p is None or spec.check(t, p) is not None:
+    if p is None or type(goals := spec.run(t, p)) is str:
         return None
-    goals = spec.goals(t, p)
     for s in goals:
         if not accept(s):
             return None
@@ -694,7 +670,7 @@ def _kept(
 def enumerate_instances(
     rule: RuleId, t: Tuple, accept: Callable[[Tuple], bool] = lambda s: True
 ) -> Iterator[tuple[RuleParams, list[Tuple]]]:
-    """All parameter choices for `rule` at `t` passing the rule's check and
+    """All parameter choices for `rule` at `t` meeting the rule's hypotheses and
     whose every subgoal satisfies `accept`, in canonical (lexicographically
     sorted parameter) order; for the master family, only those whose first
     subgoal meets two goodness clauses.  For a rule with many instances

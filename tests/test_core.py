@@ -27,7 +27,6 @@ from bninterp import (
     splitting_type_interpolation,
 )
 from bninterp.core import _SPRP_BOUND, _is_prime
-from bninterp.prover import _grid
 
 
 def test_rho_matches_definition_on_random_inputs():
@@ -242,8 +241,8 @@ def test_measure_orders_lexicographically_by_r_d_m():
     assert measure(Tuple(6, 0, 4, 9, 1)) < measure(Tuple(6, 0, 4, 0, 2))
 
 
-def test_measure_is_r_d_m_on_every_shell_tuple():
-    shell = [t for r in range(3, 13) for t, _in_box in _grid(r)]
-    assert len(shell) > 10_000
-    for t in shell:
+def test_measure_is_r_d_m_on_every_shell_tuple(shell):
+    tuples = [t for r in range(3, 13) for t, _in_box in shell(r)]
+    assert len(tuples) > 10_000
+    for t in tuples:
         assert measure(t) == (t.r, t.d, t.m), t

@@ -472,7 +472,7 @@ def test_section8_rules_exclude_the_degeneration_moves():
     assert offered == set(RuleId) - {RuleId.MASTER_ERASABLE, RuleId.DELTA_1_STEP, RuleId.PEEL_ONION}
 
 
-def test_rule_table_leaves_out_only_rules_without_an_instance():
+def test_rule_table_leaves_out_only_rules_without_an_instance(shell):
     # every shell tuple with r 3-20 and every image of XEX under the inverse
     # pancake step: a rule its shape class leaves out has no instance there
     # even when every subgoal is accepted
@@ -480,13 +480,13 @@ def test_rule_table_leaves_out_only_rules_without_an_instance():
     offered = {r for rules in table.values() for r in rules}
     left_out = {key: [r for r in RULE_ORDER if r in offered and r not in rules] for key, rules in table.items()}
     images = [Tuple(x.d, x.g, x.r, x.ell, x.m + x.r - 1) for x in XEX]
-    shell = [t for r in range(3, 21) for t, _in_box in prover._grid(r)]
+    tuples = [t for r in range(3, 21) for t, _in_box in shell(r)]
     checked = 0
-    for t in shell + images:
+    for t in tuples + images:
         for rule in left_out[prover._shape(t)]:
             assert next(enumerate_instances(rule, t, lambda s: True), None) is None, (t, rule)
             checked += 1
-    assert len(shell) > 500_000 and checked > 3_000_000
+    assert len(tuples) > 500_000 and checked > 3_000_000
 
 
 def test_disabled_rules_compose_with_the_rule_table():
@@ -500,12 +500,10 @@ def test_disabled_rules_compose_with_the_rule_table():
         assert got.witnesses == want, off
 
 
-def test_sweep_tuples_cannot_fire_the_rules_the_sweeps_leave_out():
+def test_sweep_tuples_cannot_fire_the_rules_the_sweeps_leave_out(shell):
     # peel-onion needs g >= r; delta-1-step needs the delta = 1, ell = m = 0
     # locus, 2d + 2g = 3r - 1
-    box = [
-        t for r in (14, 15, 16) for t, in_box in prover._grid(r) if in_box and prover._in_sweep(t)
-    ]
+    box = [t for r in (14, 15, 16) for t, in_box in shell(r) if in_box and prover._in_sweep(t)]
     for t in enumerate_sporadic(13) + box:
         assert t.g < t.r, t
         assert not (t.ell == 0 and t.m == 0 and 2 * t.d + 2 * t.g == 3 * t.r - 1), t
@@ -522,11 +520,11 @@ def test_thm14_first_rank_is_covered():
     assert rep.outside_checked > 1000
 
 
-def test_the_shell_check_holds_on_every_tuple_outside_the_box():
+def test_the_shell_check_holds_on_every_tuple_outside_the_box(shell):
     # the box is g <= r-1, d <= g+2r-1, m <= r-2+[g=0], so a tuple outside it
     # meets a peeling precondition by definition, which is why verify_thm14
     # reports outside_uncovered empty without testing a tuple
-    outside = [t for r in range(3, 26) for t, in_box in prover._grid(r) if not in_box]
+    outside = [t for r in range(3, 26) for t, in_box in shell(r) if not in_box]
     assert len(outside) == 493_218
     # every shell row has rho >= g >= 0, so no row is empty
     assert all(rho(d, g, r) >= g >= 0 for r in range(3, 41) for g, d, _top, _box in prover._rows(r))

@@ -3,6 +3,7 @@ independent re-derivation, enumeration/apply drift protection, the
 subgoal feasibility lemma, and the unpruned master-family walk that the
 pruned one in `rules` is checked against."""
 
+import hashlib
 import itertools
 import json
 import pickle
@@ -31,7 +32,6 @@ from bninterp import (
     measure,
     rho,
 )
-from bninterp.prover import _grid
 
 
 def _good(s):
@@ -67,7 +67,7 @@ def _unpruned_master_family(rule, t):
     dp_lo = g + r + 1 if g == 0 and m != 0 else g + r
     odd = r % 2 == 1
     n_lo = 2 if odd else 3
-    goals = rules_mod._RULES[rule].goals
+    formula = rules_mod._master_goals if rule is RuleId.MASTER else rules_mod._master_111_goals
     for lp in range(0, min(ell, cap) + 1):
         for mp in range(0, min(m_top, (cap - lp) // 2) + 1):
             x = centres[(offset + lp + mp * k) % 2]
@@ -80,7 +80,8 @@ def _unpruned_master_family(rule, t):
                 if any2 and g == 1 and dp == r + 1:
                     continue
                 p = RuleParams(ell_prime=lp, m_prime=mp, d_prime=dp, sum_n=sn, any_ni_is_2=any2)
-                yield p, goals(t, p)
+                # ell-bar = (ell - ell') + ((r-1)m' - sum_n)/2 and m-bar = m - m'
+                yield p, formula(t, dp, ell - lp + (mp * k - sn) // 2, m - mp)
 
 
 def _instances(rule, t):
@@ -697,7 +698,7 @@ def _first_matches_enumeration(rule, t):
             assert _walked(s), (tuple(t), rule, tuple(s))
 
 
-def test_first_instance_matches_enumeration_on_the_shell_and_the_sporadic_sweep():
+def test_first_instance_matches_enumeration_on_the_shell_and_the_sporadic_sweep(shell):
     # every rule on the shell up to r = 10, which holds the sporadic tuples
     # of those ranks, and on the sporadic tuples above it; master-erasable's
     # enumeration is only affordable to r = 5
@@ -707,13 +708,13 @@ def test_first_instance_matches_enumeration_on_the_shell_and_the_sporadic_sweep(
                 continue
             _first_matches_enumeration(rule, t)
 
-    shell = [t for r in range(3, 11) for t, _in_box in _grid(r)]
-    for t in shell:
+    tuples = [t for r in range(3, 11) for t, _in_box in shell(r)]
+    for t in tuples:
         compare(t)
     for t in enumerate_sporadic(13):
         if t.r > 10:
             compare(t)
-    assert len(shell) > 30_000
+    assert len(tuples) > 30_000
 
 
 @st.composite
@@ -742,7 +743,7 @@ def test_an_enumerated_candidate_the_check_refuses_is_an_invariant_violation(mon
     bad = RuleParams(ell_prime=0, m_prime=1, d_prime=25, sum_n=3)  # misses the window
 
     def defective(t):
-        yield bad, spec.goals(t, bad)
+        yield bad, [Tuple(24, 0, 13, 5, 0)]
 
     monkeypatch.setitem(rules_mod._RULES, RuleId.MASTER, spec._replace(candidates=defective))
     with pytest.raises(InvariantViolated, match="^master enumerated .*window"):
@@ -809,3 +810,59 @@ def test_the_field_mask_agrees_with_a_loop_over_the_fields():
             apply(rule, t, p)
     assert apply(RuleId.GATHER_LINES, Tuple(20, 1, 4, 0, 0), RuleParams(eps=None, any_ni_is_2=0))
     assert apply(RuleId.TWO_PROJ, Tuple(8, 0, 5, 0, 1), RuleParams(eps=1)) == [Tuple(4, 0, 3, 0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# apply's outcomes, pinned
+
+
+def _outcome(rule, t, p):
+    try:
+        return [tuple(s) for s in apply(rule, t, p)]
+    except PreconditionViolated as e:
+        return e.reason
+
+
+def test_apply_outcomes_on_a_seeded_grid_are_pinned(shell):
+    # each rule on seeded shell tuples with r 3-8 and on the first shuffled
+    # ones where it has an instance: a seeded parameter set and the first
+    # instances `enumerate_instances` gives, each also with r < 3, with a
+    # field the rule does not read, and with every integer field of the tuple
+    # and the parameters moved by one.  The digest is of each outcome, the
+    # subgoals or the refusal's reason, so a changed clause, clause order,
+    # reason or subgoal moves it.
+    rng = random.Random(24)
+    digest = hashlib.sha256()
+    calls = 0
+
+    def record(rule, t, p):
+        nonlocal calls
+        calls += 1
+        digest.update(repr((rule.value, tuple(t), tuple(p), _outcome(rule, t, p))).encode())
+
+    for r in range(3, 9):
+        tuples = [t for t, _in_box in shell(r)]
+        grid = rng.sample(tuples, 16)
+        rng.shuffle(tuples)
+        for rule in RULE_ORDER:
+            grid += itertools.islice((t for t in tuples if first_instance(rule, t, lambda s: True)), 3)
+        for t in grid:
+            for rule in RULE_ORDER:
+                fields = rules_mod._RULES[rule].fields
+                foreign = next(name for name in RuleParams._fields if name not in fields)
+                seeded = RuleParams(
+                    **{f: rng.random() < 0.5 if f == "any_ni_is_2" else rng.randint(0, 4) for f in fields}
+                )
+                for p in [seeded, *(p for p, _goals in itertools.islice(enumerate_instances(rule, t), 2))]:
+                    record(rule, t, p)
+                    record(rule, t._replace(r=2), p)
+                    record(rule, t, p._replace(**{foreign: 0}))
+                    for i, step in itertools.product(range(5), (-1, 1)):
+                        record(rule, Tuple(*(v + step * (j == i) for j, v in enumerate(t))), p)
+                    for f in fields:
+                        v = getattr(p, f)
+                        for moved in (not v,) if f == "any_ni_is_2" else (v - 1, v + 1):
+                            record(rule, t, p._replace(**{f: moved}))
+    assert (calls, digest.hexdigest()) == (
+        80_718, "f4ad589a48c743b214e679230e4514f62655a7b857dd662ebd39d55752fcd83f"
+    )

@@ -59,6 +59,20 @@ def test_the_rule_layer_states_its_domain_and_its_order_once():
     assert rules.RULE_ORDER == tuple(rules._RULES)
 
 
+def test_each_one_instance_rule_is_one_function():
+    # its hypotheses, then its subgoals; only the enumerated rules keep a
+    # check apart from their subgoal formula
+    assert "goals" not in rules._Rule._fields
+    tree = ast.parse(Path(rules.__file__).read_text(encoding="utf-8"))
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    one_instance = [rule for rule, spec in rules._RULES.items() if spec.candidates is None]
+    assert len(one_instance) == 9
+    for rule in one_instance:
+        name = rule.value.replace("-", "_")
+        assert {f"_goals_{name}", f"_check_{name}"}.isdisjoint(defined), rule
+        assert name in {n.lstrip("_") for n in defined}, rule
+
+
 def test_all_names_each_public_export():
     names = bninterp.__all__
     assert len(set(names)) == len(names)
