@@ -52,6 +52,7 @@ class Tuple(NamedTuple):
 # Well-founded termination measure: lexicographic (r, d, m), items 2, 0
 # and 4 of (d, g, r, ell, m), read in C.
 measure = itemgetter(2, 0, 4)
+_new = tuple.__new__  # _new(cls, values): a NamedTuple built in C, without its Python __new__
 
 
 # ---------------------------------------------------------------------------

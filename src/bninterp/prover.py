@@ -20,7 +20,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
 
-from .core import COUNTEREXAMPLE_TRIPLES, SPORADIC30, XEX, DomainError, InvariantViolated, Tuple, is_good, measure, rho
+from .core import COUNTEREXAMPLE_TRIPLES, SPORADIC30, XEX, DomainError, InvariantViolated, Tuple, _new, is_good, measure, rho
 from .rules import (
     RULE_ORDER,
     PreconditionViolated,
@@ -202,7 +202,7 @@ def _list_field(doc, key: str) -> list:
 def _tuple_from_json(v) -> Tuple:
     # exact types, so bool is refused along with float and str
     if type(v) is list and len(v) == 5 and type(v[0]) is type(v[1]) is type(v[2]) is type(v[3]) is type(v[4]) is int:
-        return tuple.__new__(Tuple, v)
+        return _new(Tuple, v)
     raise ValueError(f"a tuple must be a list of 5 integers, got {v!r}")
 
 
@@ -431,7 +431,13 @@ def _rows(r: int):
     """(g, d, m_top, m_box) over the (g, d) rows of the rank-r shell, in
     order: the shell's m runs to m_top = min(rho, r + 1), and the box
     g <= r-1, d <= g+2r-1, m <= r-2+eps0(g) to m_box, which is -1 outside
-    the box.  Every row has rho >= g >= 0: rho = g at d = g + r and grows with d."""
+    the box.  Every row has rho >= g >= 0: rho = g at d = g + r and grows with d.
+
+    Lemma: a row's tuple with 0 <= ell <= r//2 and 2 <= m <= m_top is good
+    and off the delta = 1, ell = m = 0 locus, so `_in_sweep` holds.  The row
+    gives d >= g + r, 2 ell <= r and m <= rho; the residue clause binds only
+    at g = m = 0; and every XEX member has m <= 1.  So the sweeps test
+    their box and shell tuples for goodness only at m <= 1."""
     for g in range(0, r + 2):
         for d in range(g + r, g + 2 * r + 3):
             m_box = (r - 2 + (1 if g == 0 else 0)) if g <= r - 1 and d <= g + 2 * r - 1 else -1
@@ -455,8 +461,8 @@ def enumerate_sporadic(r_max: int = 13) -> list:
         for g, d, m_top, m_box in _rows(r):
             for ell in range(0, r // 2 + 1):
                 for m in range(0, min(m_top, m_box) + 1):
-                    t = Tuple(d, g, r, ell, m)
-                    if _in_sweep(t):
+                    t = _new(Tuple, (d, g, r, ell, m))
+                    if m > 1 or _in_sweep(t):  # the lemma of _rows
                         out.append(t)
     # an image has m >= r - 1 and g >= 1, so it is not in the box
     for t in (Tuple(x.d, x.g, x.r, x.ell, x.m + x.r - 1) for x in XEX if x.r <= r_max):
@@ -553,27 +559,32 @@ class Thm14Report:
 
 
 def _thm14_one_r(r: int) -> tuple:
-    """(box tuples examined, uncovered; good shell tuples outside the box) at rank r."""
+    """(box tuples examined, uncovered; good shell tuples outside the box) at
+    rank r, asking goodness only at m <= 1 (the lemma of `_rows`)."""
     examined = checked = 0
     uncovered = []
+    ells = r // 2 + 1
     for g, d, m_top, m_box in _rows(r):
-        for ell in range(0, r // 2 + 1):
-            for m in range(0, m_top + 1):
-                t = Tuple(d, g, r, ell, m)
+        low = m_box if m_box > 1 else 1  # each m above it is outside the box and good
+        for ell in range(0, ells):
+            for m in range(0, (m_top if m_top < low else low) + 1):
+                t = _new(Tuple, (d, g, r, ell, m))
                 if m <= m_box:
-                    if _in_sweep(t):
+                    if m > 1 or _in_sweep(t):
                         examined += 1
                         if _dispatch(_THM14_TABLE, t) is None:
                             uncovered.append(t)
                 elif is_good(t).is_good:
                     checked += 1
+        checked += ells * (m_top - low if m_top > low else 0)
     return examined, uncovered, checked
 
 
 def verify_thm14(r_max: int, r_min: int = 14, workers: int = 1) -> Thm14Report:
     """Check that every good box tuple with r_min <= r <= r_max (off the
     delta = 1 locus) is dispatched by some sweep rule, and count the good
-    shell tuples outside it, which meet a peeling precondition by definition.
+    shell tuples outside it, which meet a peeling precondition by definition;
+    those with m >= 2 are counted per row by the lemma of `_rows`, not built.
     Raises DomainError on a bad worker count, then on r_max < r_min."""
     workers = check_workers(workers)
     if r_max < r_min:

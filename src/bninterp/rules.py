@@ -60,7 +60,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .core import InvariantViolated, Tuple, delta_numerator, is_good
+from .core import InvariantViolated, Tuple, _new, delta_numerator, is_good
 from .erase import erasable_fast, make_collection
 
 
@@ -130,7 +130,7 @@ class RuleParams(NamedTuple):
             want = bool if key == "any_ni_is_2" else int
             if type(v) is not want:
                 raise ValueError(f"parameter {key} must be {want.__name__}, got {v!r}")
-        return tuple.__new__(cls, map(doc.get, cls._fields, _NO_PARAMS)) if doc else _NO_PARAMS
+        return _new(cls, map(doc.get, cls._fields, _NO_PARAMS)) if doc else _NO_PARAMS
 
 
 _NO_PARAMS = RuleParams()
@@ -159,11 +159,8 @@ def _sum_n_violation(
                 return "height 2 forbidden on the elliptic boundary"
             if not 2 + 2 * (m_prime - 1) <= sum_n <= 2 + (r - 1) * (m_prime - 1):
                 return "sum_n out of range for a multiset containing 2"
-        else:
-            if 4 > r - 1:
-                return "no height other than 2 exists"
-            if not 4 * m_prime <= sum_n <= (r - 1) * m_prime:
-                return "sum_n out of range for heights >= 4"
+        elif not 4 * m_prime <= sum_n <= (r - 1) * m_prime:
+            return "sum_n out of range for heights >= 4"
     else:  # heights odd, from {3, 5, ..., r-1}
         if any2:
             return "heights are odd, none can be 2"
@@ -238,15 +235,15 @@ def _check_master_family(offset: int, strict: bool, t: Tuple, p: RuleParams) -> 
 
 
 def _master_goals(t: Tuple, dp: int, lbar: int, mbar: int) -> list[Tuple]:
-    return [Tuple(dp - 1, t.g, t.r - 1, lbar, mbar)]
+    return [_new(Tuple, (dp - 1, t.g, t.r - 1, lbar, mbar))]
 
 
 def _master_111_goals(t: Tuple, dp: int, lbar: int, mbar: int) -> list[Tuple]:
     g, r = t.g, t.r
     return [
-        Tuple(dp - 1, g, r - 1, lbar, mbar),
-        Tuple(dp - 1, g, r - 1, lbar, mbar - 1),
-        Tuple(dp - 2, g, r - 2, lbar, mbar),
+        _new(Tuple, (dp - 1, g, r - 1, lbar, mbar)),
+        _new(Tuple, (dp - 1, g, r - 1, lbar, mbar - 1)),
+        _new(Tuple, (dp - 2, g, r - 2, lbar, mbar)),
     ]
 
 
@@ -493,8 +490,8 @@ def _master_family_candidates(
                 any2 = odd and sn < 4 * mp
                 if any2 and elliptic and dp == r + 1:
                     continue
-                # positional: ell', m', m'', d', g', eps_in, eps_out, sum_n, any2
-                p = RuleParams(lp, mp, None, dp, None, None, None, sn, any2)
+                # all 11 fields: ell', m', m'', d', g', eps_in, eps_out, sum_n, any2, eps, k
+                p = _new(RuleParams, (lp, mp, None, dp, None, None, None, sn, any2, None, None))
                 yield p, goals(t, dp, a - dp, mbar)
 
 

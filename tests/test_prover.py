@@ -37,6 +37,7 @@ from bninterp import (
     verify_thm14,
 )
 import bninterp.prover as prover
+import bninterp.rules as rules_mod
 from bninterp import InvariantViolated, RuleParams
 from bninterp.prover import PROVISO_DELTA1, check_workers
 
@@ -535,6 +536,75 @@ def test_thm14_report_at_rank_16_is_pinned():
     rep = verify_thm14(r_max=16)
     assert (rep.examined, rep.outside_checked) == (78_048, 50_157)
     assert rep.uncovered == [] and rep.outside_uncovered == []
+
+
+def test_thm14_report_at_ranks_17_to_20_is_pinned():
+    rep = verify_thm14(r_max=20, r_min=17)
+    assert (rep.examined, rep.outside_checked) == (239_813, 120_148)
+    assert rep.uncovered == [] and rep.outside_uncovered == []
+
+
+def test_the_rows_lemma_every_shell_tuple_with_m_at_least_2_is_in_the_sweep(shell):
+    # the lemma of prover._rows, which lets the sweeps ask goodness only at
+    # m <= 1: exhaustive over r 3-30, and a later XEX entry with m >= 2
+    # breaks it
+    assert max(x.m for x in XEX) <= 1
+    seen = 0
+    for r in range(3, 31):
+        for t, _in_box in shell(r):
+            if t.m >= 2:
+                assert prover._in_sweep(t), t
+                seen += 1
+    assert seen > 3_000_000
+
+
+def _thm14_one_r_reference(shell, r):
+    # the per-tuple loop: every shell tuple is built, the box's dispatched
+    # when it is in the sweep, and the rest counted when it is good
+    examined = checked = 0
+    uncovered = []
+    for t, in_box in shell(r):
+        if in_box:
+            if prover._in_sweep(t):
+                examined += 1
+                if prover._dispatch(prover._THM14_TABLE, t) is None:
+                    uncovered.append(t)
+        elif is_good(t).is_good:
+            checked += 1
+    return examined, uncovered, checked
+
+
+def test_thm14_one_rank_matches_the_per_tuple_loop(shell):
+    for r in range(3, 21):
+        assert prover._thm14_one_r(r) == _thm14_one_r_reference(shell, r), r
+    # ranks below 14 leave some box tuples undispatched, so the uncovered
+    # lists are compared too
+    assert prover._thm14_one_r(4)[1]
+
+
+def test_sweep_objects_are_built_as_their_exact_types(shell, monkeypatch):
+    # the master-family RuleParams and the subgoals and sweep tuples are
+    # built with tuple.__new__: each is of its exact type, and each
+    # RuleParams spells all its fields, equal to the one built by keyword
+    rng = random.Random(25)
+    instances = 0
+    for r in range(3, 11):
+        for t, _in_box in rng.sample(list(shell(r)), 60):
+            for rule in (RuleId.MASTER, RuleId.MASTER_111):
+                fields = rules_mod._RULES[rule].fields
+                for p, goals in enumerate_instances(rule, t):
+                    assert type(p) is RuleParams and p == RuleParams(**{f: getattr(p, f) for f in fields})
+                    assert rules_mod._parameter_violation(rule, p) is None
+                    assert [type(s) for s in goals] == [Tuple] * len(goals)
+                    assert apply(rule, t, p) == goals
+                    instances += 1
+    assert instances > 1_000
+    swept = []
+    monkeypatch.setattr(prover, "_dispatch", lambda table, t: swept.append(t))
+    for r in range(3, 11):
+        prover._thm14_one_r(r)
+    swept += enumerate_sporadic(10)
+    assert len(swept) > 20_000 and {type(t) for t in swept} == {Tuple}
 
 
 def test_thm14_parallel_agrees_with_serial():

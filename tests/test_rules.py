@@ -299,6 +299,23 @@ def test_twisted_rules_share_one_hypothesis_block(t, ell_prime, m_prime, d_prime
         assert all(q.m_prime == 0 for rule in _TWISTED for q, _ in _instances(rule, t))
 
 
+def test_at_r3_every_twist_move_is_refused_before_its_heights(shell):
+    # r = 3 leaves 2 as the only height, so every m' >= 1 stops at the r = 3
+    # clause before _sum_n_violation reads sum_n or the flag: that is why
+    # _sum_n_violation has no clause for an odd r without a height >= 4
+    calls = 0
+    for t, _in_box in shell(3):
+        for mp, sn, any2 in itertools.product((1, 2, 3), (0, 2, 4, 5, 8), (False, True)):
+            p = RuleParams(ell_prime=0, m_prime=mp, d_prime=t.d, sum_n=sn, any_ni_is_2=any2)
+            erasable = p._replace(m_dprime=0, g_prime=t.g, eps_in=0, eps_out=0)
+            for rule, q in zip(_TWISTED, (p, p, erasable)):
+                with pytest.raises(PreconditionViolated) as e:
+                    apply(rule, t, q)
+                assert e.value.reason == "m' must be 0 when r = 3", (rule, t, q)
+                calls += 1
+    assert calls > 1_000
+
+
 def test_ell_bar_cannot_be_negative_once_the_shared_hypotheses_hold():
     # the shared block has no ell-bar >= 0 clause: 0 <= ell' <= ell and the
     # sum_n clause imply it.  Exhaustive over the shell's ell range for r
