@@ -211,34 +211,26 @@ def is_good(t: Tuple) -> GoodnessVerdict:
 
     A tuple is good when d >= g + r, 2*ell <= r, 0 <= m <= rho(d, g, r),
     the residue condition 2*ell >= (1 - d) % (r - 1) holds whenever
-    g = m = 0, and the tuple is not one of the twelve in XEX.  A good tuple
-    returns before any failure list is built.
+    g = m = 0, and the tuple is not one of the twelve in XEX.  One pass tests
+    each condition once, negative fields first and then in that order, and
+    names it only when it fails; a good tuple gets the shared `_GOOD`.
     """
     d, g, r, ell, m = t
-    if (g >= 0 and ell >= 0 and m >= 0 and r >= 1 and d >= g + r and 2 * ell <= r and m <= rho(d, g, r)
-            and (g or m or r < 2 or 2 * ell >= (1 - d) % (r - 1)) and t not in XEX):
-        return _GOOD
-    return GoodnessVerdict(False, _failures(t))
-
-
-def _failures(t: Tuple) -> tuple[str, ...]:
-    """Every goodness condition `t` violates, in `is_good`'s order."""
-    d, g, r, ell, m = t
-    failures: list[str] = []
+    failures = ()
     if g < 0 or ell < 0 or m < 0 or r < 1:
-        failures.append(NEGATIVE_FIELD)
+        failures += (NEGATIVE_FIELD,)
     if d < g + r:
-        failures.append(DEGREE_BELOW_G_PLUS_R)
+        failures += (DEGREE_BELOW_G_PLUS_R,)
     if 2 * ell > r:
-        failures.append(ELL_TOO_LARGE)
+        failures += (ELL_TOO_LARGE,)
     if m > rho(d, g, r):
-        failures.append(M_EXCEEDS_RHO)
+        failures += (M_EXCEEDS_RHO,)
     # the residue condition only constrains the unmodified rational case
     if g == 0 and m == 0 and r >= 2 and 2 * ell < (1 - d) % (r - 1):
-        failures.append(RATIONAL_RESIDUE)
+        failures += (RATIONAL_RESIDUE,)
     if t in XEX:
-        failures.append(IN_XEX_LIST)
-    return tuple(failures)
+        failures += (IN_XEX_LIST,)
+    return GoodnessVerdict(False, failures) if failures else _GOOD
 
 
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -171,6 +171,8 @@ def make_collection(s10=0, s11=0, s20=0, s21=0, w10=0) -> ModCollection:
 def _check_types(c: ModCollection, r: int) -> list:
     """The sorted (type code, count) items of `c`'s nonzero counts at rank
     r; a CalculusError for anything the calculus cannot hold."""
+    if not isinstance(r, int):
+        raise CalculusError(f"rank r = {r!r}: counts and ranks must be integers")
     if r < 3:
         raise CalculusError(f"calculus needs r >= 3, got r = {r}")
     items = []

@@ -436,8 +436,10 @@ def _rows(r: int):
     Lemma: a row's tuple with 0 <= ell <= r//2 and 2 <= m <= m_top is good
     and off the delta = 1, ell = m = 0 locus, so `_in_sweep` holds.  The row
     gives d >= g + r, 2 ell <= r and m <= rho; the residue clause binds only
-    at g = m = 0; and every XEX member has m <= 1.  So the sweeps test
-    their box and shell tuples for goodness only at m <= 1."""
+    at g = m = 0; and every XEX member has m <= 1, on d = g + r of a box row.
+    So the sweeps test box tuples for goodness only at m <= 1, and outside
+    the box only the residue clause fails: at g = m = 0 and r >= 2, for the
+    ((1 - d) % (r - 1) + 1) // 2 values of ell below ((1 - d) % (r - 1)) / 2."""
     for g in range(0, r + 2):
         for d in range(g + r, g + 2 * r + 3):
             m_box = (r - 2 + (1 if g == 0 else 0)) if g <= r - 1 and d <= g + 2 * r - 1 else -1
@@ -513,8 +515,11 @@ def run_sporadic_search(
 ) -> SporadicReport:
     """Try to reduce every sporadic-sweep tuple once, accepting subgoals by
     goodness, and report the irreducible remainder.  Serial and parallel
-    runs give equal reports.  Raises DomainError on a bad worker count, then on r_max < 3."""
+    runs give equal reports.  Raises DomainError on a bad worker count, then
+    on an r_max that is not an integer, then on r_max < 3."""
     workers = check_workers(workers)
+    if not isinstance(r_max, int):
+        raise DomainError(f"rmax must be an integer, got {r_max!r}")
     if r_max < 3:
         raise DomainError(f"rmax {r_max} leaves no rank to sweep (the sweep starts at r = 3)")
     table = _rule_table(set(disabled))
@@ -560,23 +565,21 @@ class Thm14Report:
 
 def _thm14_one_r(r: int) -> tuple:
     """(box tuples examined, uncovered; good shell tuples outside the box) at
-    rank r, asking goodness only at m <= 1 (the lemma of `_rows`)."""
+    rank r, building only box tuples: the rest is counted by the lemma of `_rows`."""
     examined = checked = 0
     uncovered = []
     ells = r // 2 + 1
     for g, d, m_top, m_box in _rows(r):
-        low = m_box if m_box > 1 else 1  # each m above it is outside the box and good
         for ell in range(0, ells):
-            for m in range(0, (m_top if m_top < low else low) + 1):
+            for m in range(0, (m_top if m_top < m_box else m_box) + 1):
                 t = _new(Tuple, (d, g, r, ell, m))
-                if m <= m_box:
-                    if m > 1 or _in_sweep(t):
-                        examined += 1
-                        if _dispatch(_THM14_TABLE, t) is None:
-                            uncovered.append(t)
-                elif is_good(t).is_good:
-                    checked += 1
-        checked += ells * (m_top - low if m_top > low else 0)
+                if m > 1 or _in_sweep(t):
+                    examined += 1
+                    if _dispatch(_THM14_TABLE, t) is None:
+                        uncovered.append(t)
+        checked += ells * (m_top - m_box if m_top > m_box else 0)
+        if m_box < 0 and g == 0 and r >= 2:  # less the ell whose residue clause fails at m = 0
+            checked -= ((1 - d) % (r - 1) + 1) // 2
     return examined, uncovered, checked
 
 
@@ -584,9 +587,13 @@ def verify_thm14(r_max: int, r_min: int = 14, workers: int = 1) -> Thm14Report:
     """Check that every good box tuple with r_min <= r <= r_max (off the
     delta = 1 locus) is dispatched by some sweep rule, and count the good
     shell tuples outside it, which meet a peeling precondition by definition;
-    those with m >= 2 are counted per row by the lemma of `_rows`, not built.
-    Raises DomainError on a bad worker count, then on r_max < r_min."""
+    they are counted per row by the lemma of `_rows`, not built.  Raises
+    DomainError on a bad worker count, then on a rank that is not an integer,
+    then on r_max < r_min."""
     workers = check_workers(workers)
+    for name, rank in (("rmax", r_max), ("rmin", r_min)):
+        if not isinstance(rank, int):
+            raise DomainError(f"{name} must be an integer, got {rank!r}")
     if r_max < r_min:
         raise DomainError(f"empty rank range: rmax {r_max} is below rmin {r_min}")
     rows = _pmap(_thm14_one_r, list(range(r_min, r_max + 1)), workers)

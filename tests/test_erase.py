@@ -408,21 +408,26 @@ def _within(seconds):
     "decide", [is_erasable, erasable_fast, brute_force_erasable, erasable_under_all_orders]
 )
 @pytest.mark.parametrize(
-    "coll",
+    "coll, r",
     [
-        Counter({ModType(1, 0): 1.5}),
-        Counter({ModType(1, 0): 2.0}),
-        Counter({ModType(1.0, 0.0): 2}),
-        Counter({ModType(1, 0.5): 1}),
-        Counter({ModType("1", "0"): 1}),
+        pytest.param(Counter({ModType(1, 0): 1.5}), 3, id="count 1.5"),
+        pytest.param(Counter({ModType(1, 0): 2.0}), 3, id="count 2.0"),
+        pytest.param(Counter({ModType(1.0, 0.0): 2}), 3, id="float type"),
+        pytest.param(Counter({ModType(1, 0.5): 1}), 3, id="half rank"),
+        pytest.param(Counter({ModType("1", "0"): 1}), 3, id="str type"),
+        pytest.param(Counter(), 3.0, id="rank 3.0"),
+        pytest.param(Counter({ModType(1, 0): 2}), 4.5, id="rank 4.5"),
+        pytest.param(Counter({ModType(1, 0): 2}), "3", id="str rank"),
+        pytest.param(Counter({ModType(1, 0): 2}), None, id="rank None"),
     ],
-    ids=["count 1.5", "count 2.0", "float type", "half rank", "str type"],
 )
-def test_every_entry_point_refuses_a_count_or_rank_that_is_not_an_integer(decide, coll):
+def test_every_entry_point_refuses_a_count_or_rank_that_is_not_an_integer(decide, coll, r):
     # a count of 1.5 went 0.5, -0.5, ... and never reached 0, so the search
-    # never returned; a float type broke the decoding of its witness
+    # never returned; a float type broke the decoding of its witness; the
+    # empty collection was erasable at rank 3.0, and a rank of 4.5, "3" or
+    # None raised a TypeError
     with _within(2), pytest.raises(CalculusError, match="must be integers"):
-        decide(coll, 3)
+        decide(coll, r)
 
 
 def test_a_bool_is_an_integer_and_named_as_one():

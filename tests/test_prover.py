@@ -190,6 +190,22 @@ def test_the_sweeps_refuse_an_empty_rank_range():
         verify_thm14(13, workers=0)
     with pytest.raises(DomainError, match="^workers must be a positive integer, got 0$"):
         run_sporadic_search(2, workers=0)
+    # a rank that is not an integer is refused before any work, after the
+    # worker count; a bool is an integer
+    with pytest.raises(DomainError, match="^rmax must be an integer, got 13.0$"):
+        run_sporadic_search(13.0)
+    with pytest.raises(DomainError, match="^rmax must be an integer, got '13'$"):
+        run_sporadic_search("13")
+    with pytest.raises(DomainError, match="^rmax must be an integer, got 16.0$"):
+        verify_thm14(16.0)
+    with pytest.raises(DomainError, match="^rmin must be an integer, got 14.5$"):
+        verify_thm14(16, r_min=14.5)
+    with pytest.raises(DomainError, match="^rmin must be an integer, got None$"):
+        verify_thm14(16, r_min=None)
+    with pytest.raises(DomainError, match="^workers must be a positive integer, got 0$"):
+        verify_thm14(16.0, workers=0)
+    with pytest.raises(DomainError, match="^empty rank range: rmax True is below rmin 14$"):
+        verify_thm14(True)
 
 
 def test_certify_shares_memo_across_calls():
@@ -575,11 +591,21 @@ def _thm14_one_r_reference(shell, r):
 
 
 def test_thm14_one_rank_matches_the_per_tuple_loop(shell):
-    for r in range(3, 21):
+    # r = 1 has no residue clause (r - 1 = 0), and at r = 2 it never fails
+    for r in range(1, 21):
         assert prover._thm14_one_r(r) == _thm14_one_r_reference(shell, r), r
     # ranks below 14 leave some box tuples undispatched, so the uncovered
     # lists are compared too
     assert prover._thm14_one_r(4)[1]
+
+
+def test_the_shell_count_outside_the_box_matches_goodness_at_ranks_21_to_40(shell, monkeypatch):
+    # the shell outside the box is counted per row, never built; count-only
+    # against a per-tuple is_good, with the box's dispatch stubbed out
+    monkeypatch.setattr(prover, "_dispatch", lambda table, t: ())
+    for r in range(21, 41):
+        expected = sum(1 for t, in_box in shell(r) if not in_box and is_good(t).is_good)
+        assert prover._thm14_one_r(r)[2] == expected, r
 
 
 def test_sweep_objects_are_built_as_their_exact_types(shell, monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 from types import ModuleType
 
 import bninterp
-from bninterp import erase, prover, rules
+from bninterp import core, erase, prover, rules
 
 SOURCES = sorted(Path(bninterp.__file__).parent.glob("*.py"))
 
@@ -39,6 +39,24 @@ def test_each_input_is_refused_once_in_the_library():
     tree = ast.parse(Path(prover.__file__).read_text(encoding="utf-8"))
     (settle,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "settle"]
     assert not [n for n in ast.walk(settle) if isinstance(n, ast.Name) and n.id == "is_good"]
+
+
+def test_goodness_is_written_once():
+    # is_good tests each clause in one `if` and keeps no second failure
+    # list; _thm14_one_r counts the shell outside the box by the lemma of
+    # prover._rows and never asks goodness itself
+    tree = ast.parse(Path(core.__file__).read_text(encoding="utf-8"))
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "_failures" not in functions
+    ifs = [n for n in ast.walk(functions["is_good"]) if isinstance(n, ast.If)]
+    codes = ("NEGATIVE_FIELD", "DEGREE_BELOW_G_PLUS_R", "ELL_TOO_LARGE", "M_EXCEEDS_RHO", "RATIONAL_RESIDUE", "IN_XEX_LIST")
+    for code in codes:
+        named = [n for n in ast.walk(functions["is_good"]) if isinstance(n, ast.Name) and n.id == code]
+        holders = [n for n in ifs if any(isinstance(x, ast.Name) and x.id == code for x in ast.walk(n))]
+        assert len(named) == 1 and len(holders) == 1, code
+    tree = ast.parse(Path(prover.__file__).read_text(encoding="utf-8"))
+    (one_r,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_thm14_one_r"]
+    assert not [n for n in ast.walk(one_r) if isinstance(n, ast.Name) and n.id == "is_good"]
 
 
 def test_each_convention_has_one_owner():
