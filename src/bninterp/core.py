@@ -52,7 +52,19 @@ class Tuple(NamedTuple):
 # Well-founded termination measure: lexicographic (r, d, m), items 2, 0
 # and 4 of (d, g, r, ell, m), read in C.
 measure = itemgetter(2, 0, 4)
-_new = tuple.__new__  # _new(cls, values): a NamedTuple built in C, without its Python __new__
+# _new(cls, values): a NamedTuple built in C, without its Python __new__.
+# Used for the objects built per sweep tuple or certify node: sweep tuples,
+# every rule's subgoals and RuleParams, and the certificates' RuleApp and
+# Axiom in `certify` and `Certificate.from_json`.
+_new = tuple.__new__
+
+
+def _check_ints(names: tuple, values) -> None:
+    """Raise DomainError naming the first of `values` that is not an int; a
+    bool is one."""
+    for name, v in zip(names, values):
+        if not isinstance(v, int):
+            raise DomainError(f"{name} must be an integer, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +226,10 @@ def is_good(t: Tuple) -> GoodnessVerdict:
     g = m = 0, and the tuple is not one of the twelve in XEX.  One pass tests
     each condition once, negative fields first and then in that order, and
     names it only when it fails; a good tuple gets the shared `_GOOD`.
+
+    The five fields must be ints.  That is not checked here, because this
+    runs on every `certify` node and sweep tuple; the entry points that take
+    a tuple from a caller (`certify`, the certificate reader) check it.
     """
     d, g, r, ell, m = t
     failures = ()
@@ -255,6 +271,7 @@ def bn_interpolation(d: int, g: int, r: int, char: int = 0) -> InterpolationVerd
     unless (d, g, r) is one of the five counterexample triples, or char = 2
     with g = 0 and d not congruent to 1 mod r - 1.
     """
+    _check_ints(("d", "g", "r", "char"), (d, g, r, char))
     if char >= _SPRP_BOUND:
         raise DomainError(f"characteristic {char} is not below {_SPRP_BOUND}, where the primality test is exact")
     if char != 0 and not _is_prime(char):
@@ -279,6 +296,7 @@ def max_points(d: int, g: int, r: int) -> PointCountAnswer:
     exception triples the formula overshoots; the returned bound is the
     surface-construction upper bound (not claimed sharp).
     """
+    _check_ints(("d", "g", "r"), (d, g, r))
     if r < 3:
         raise DomainError(f"point counts need r >= 3, got r = {r}")
     if g < 0:

@@ -20,7 +20,10 @@ from functools import partial
 from itertools import product
 from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
 
-from .core import COUNTEREXAMPLE_TRIPLES, SPORADIC30, XEX, DomainError, InvariantViolated, Tuple, _new, is_good, measure, rho
+from .core import (
+    COUNTEREXAMPLE_TRIPLES, SPORADIC30, XEX, DomainError, InvariantViolated, Tuple,
+    _check_ints, _new, is_good, measure, rho,
+)
 from .rules import (
     RULE_ORDER,
     PreconditionViolated,
@@ -43,7 +46,11 @@ from .rules import (
 #   XEX have g <= 2 < 3 <= r;
 # - delta-1-step needs the delta = 1, ell = m = 0 locus, which _in_sweep
 #   excludes.
-# `certify` tries every rule, in RULE_ORDER, on every tuple.
+# `certify` meets any good tuple, so its table, `_CERTIFY_TABLE`, adds
+# those two guards as tests 4 and 5 of `_certify_shape` and lists every
+# rule.  It looks the table up once per node it expands, and tries the
+# rules there in RULE_ORDER; the rules it leaves out have no instance at
+# the node, so the certificates are the ones a search over every rule gives.
 _SHAPE_TEST = {
     RuleId.GATHER_LINES: 0,  # d >= g + 2r - 1
     RuleId.PANCAKE_ONIONS: 1,  # m >= r - 1
@@ -63,18 +70,25 @@ def _shape(t: Tuple) -> tuple:
     return (d >= g + 2 * r - 1, m >= r - 1, m == 0, ell == 0 and m == 1)
 
 
-def _rule_table(left_out: Collection[RuleId]) -> dict:
-    """Shape class -> the sweep rules not in `left_out` whose shape test
-    the class passes, in RULE_ORDER."""
-    rules = [r for r in RULE_ORDER if r in _SHAPE_TEST and r not in left_out]
+def _certify_shape(t: Tuple) -> tuple:
+    d, g, r, ell, m = t
+    return _shape(t) + (g >= r, ell == 0 and m == 0 and 2 * d + 2 * g == 3 * r - 1)
+
+
+def _rule_table(left_out: Collection[RuleId], tests: dict = _SHAPE_TEST) -> dict:
+    """Shape class -> the rules of `tests` not in `left_out` whose shape
+    test the class passes, in RULE_ORDER."""
+    rules = [r for r in RULE_ORDER if r in tests and r not in left_out]
+    width = 1 + max(i for i in tests.values() if i is not None)
     return {
-        key: tuple(r for r in rules if _SHAPE_TEST[r] is None or key[_SHAPE_TEST[r]])
-        for key in product((False, True), repeat=4)
+        key: tuple(r for r in rules if tests[r] is None or key[tests[r]])
+        for key in product((False, True), repeat=width)
     }
 
 
 # the large-r coverage sweep leaves out the finite-field argument by design
 _THM14_TABLE = _rule_table({RuleId.MASTER_ERASABLE})
+_CERTIFY_TABLE = _rule_table((), {**_SHAPE_TEST, RuleId.PEEL_ONION: 4, RuleId.DELTA_1_STEP: 5})
 
 PROVISO_DELTA1 = "assumes g > 0 or field characteristic != 2"
 # the hypothesis on the ground field that a rule's validity carries, if any
@@ -253,11 +267,11 @@ class Certificate:
                 params = RuleParams.from_json(jd["params"] if "params" in jd else _field(jd, "params"))
                 if type(cs := jd.get("children")) is not list:
                     _list_field(jd, "children")
-                nodes[t] = RuleApp(rule, params, tuple(map(_tuple_from_json, cs)), proviso)
+                nodes[t] = _new(RuleApp, (rule, params, tuple(map(_tuple_from_json, cs)), proviso))
             elif kind == "axiom":
                 if type(tag := jd.get("tag")) is not str:
                     raise ValueError(f"tag must be a string, got {type(_field(jd, 'tag')).__name__}")
-                nodes[t] = Axiom(tag)
+                nodes[t] = _new(Axiom, (tag,))
             else:
                 raise ValueError(f"unknown justification kind {_field(_field(row, 'justification'), 'kind')!r}")
         return cls(root=_tuple_from_json(_field(doc, "root")), nodes=nodes)
@@ -282,14 +296,16 @@ def certify(
     memo: Optional[dict] = None,
 ) -> Certificate:
     """Build a reduction certificate for `t`, or raise Irreducible naming
-    `t` when no reduction chain exists.  A root that is neither good nor an
-    axiom raises DomainError before the memo is touched.
+    `t` when no reduction chain exists.  A root with a field that is not an
+    int, or that is neither good nor an axiom, raises DomainError before the
+    memo is touched.
 
     `memo` may be shared across calls that use the same axioms; it maps
     tuples to a Justification or to None for tuples already known to
     fail.  A rule instance is only tried when each subgoal is good or an
     axiom, as the root is, so every node the search meets is one.  No rule
     raises r or d, so the search stays within the root's own r and d."""
+    _check_ints(Tuple._fields, t)
     ax = axioms if axioms is not None else AxiomSet()
     accept = lambda s: is_good(s).is_good or ax.tag_of(s) is not None  # noqa: E731
     if not accept(t):
@@ -305,17 +321,18 @@ def certify(
             return mm[node] is not None
         tag = ax.tag_of(node)
         if tag is not None:
-            mm[node] = Axiom(tag)
+            mm[node] = _new(Axiom, (tag,))
             return True
         if depth > depth_cap:
             raise InvariantViolated(f"reduction depth blew past {depth_cap} at {node}")
         return None
 
     def expand(node: Tuple, depth: int):
-        """Try the rule instances of `node` in order, subgoals left to right.
-        Yields each subgoal that `settle` leaves open and is sent back
-        whether it was certified; returns whether `node` was."""
-        for rule in RULE_ORDER:
+        """Try the rule instances of `node` in order, subgoals left to right,
+        for the rules of its shape class.  Yields each subgoal that `settle`
+        leaves open and is sent back whether it was certified; returns
+        whether `node` was."""
+        for rule in _CERTIFY_TABLE[_certify_shape(node)]:
             for params, goals in enumerate_instances(rule, node, accept):
                 for child in goals:
                     ok = settle(child, depth + 1)
@@ -324,7 +341,7 @@ def certify(
                     if not ok:
                         break  # backtrack to the next instance
                 else:
-                    mm[node] = RuleApp(rule, params, tuple(goals), PROVISOS.get(rule))
+                    mm[node] = _new(RuleApp, (rule, params, tuple(goals), PROVISOS.get(rule)))
                     return True
         mm[node] = None
         return False
@@ -457,7 +474,8 @@ def enumerate_sporadic(r_max: int = 13) -> list:
     irreducible: the small-r box, plus the images of the bad-residue list
     under one inverse pancake step; tuples on the delta = 1, ell = m = 0
     locus are excluded (they are handled by their own descent).  Listed in
-    sweep order."""
+    sweep order.  Raises DomainError on an r_max that is not an integer."""
+    _check_ints(("rmax",), (r_max,))
     out = []  # _rows yields the box in sweep order
     for r in range(3, r_max + 1):
         for g, d, m_top, m_box in _rows(r):
@@ -518,8 +536,7 @@ def run_sporadic_search(
     runs give equal reports.  Raises DomainError on a bad worker count, then
     on an r_max that is not an integer, then on r_max < 3."""
     workers = check_workers(workers)
-    if not isinstance(r_max, int):
-        raise DomainError(f"rmax must be an integer, got {r_max!r}")
+    _check_ints(("rmax",), (r_max,))
     if r_max < 3:
         raise DomainError(f"rmax {r_max} leaves no rank to sweep (the sweep starts at r = 3)")
     table = _rule_table(set(disabled))
@@ -591,9 +608,7 @@ def verify_thm14(r_max: int, r_min: int = 14, workers: int = 1) -> Thm14Report:
     DomainError on a bad worker count, then on a rank that is not an integer,
     then on r_max < r_min."""
     workers = check_workers(workers)
-    for name, rank in (("rmax", r_max), ("rmin", r_min)):
-        if not isinstance(rank, int):
-            raise DomainError(f"{name} must be an integer, got {rank!r}")
+    _check_ints(("rmax", "rmin"), (r_max, r_min))
     if r_max < r_min:
         raise DomainError(f"empty rank range: rmax {r_max} is below rmin {r_min}")
     rows = _pmap(_thm14_one_r, list(range(r_min, r_max + 1)), workers)

@@ -48,9 +48,10 @@ form the cells whose d' run is then empty (see `_master_family_candidates`).
 So it offers the instances `apply` accepts whose first subgoal meets both;
 `apply` asks neither.  Every built-in axiom meets both, and an extra axiom
 that fails one is never a master-family first subgoal.  `first_instance`
-is the first instance `enumerate_instances` yields.  The sweeps try on a
-tuple only the rules whose guard its shape can meet, from the rule table
-in `prover`; `certify` tries every rule.
+is the first instance `enumerate_instances` yields.  The sweeps and
+`certify` try on a tuple only the rules whose guard its shape can meet,
+from the rule tables in `prover`.  A rule left out has no instance there,
+so `certify` builds the certificates a search over every rule would.
 """
 
 from __future__ import annotations
@@ -140,35 +141,6 @@ _NO_PARAMS = RuleParams()
 # shared hypotheses
 
 
-def _sum_n_violation(
-    m_prime: int, sum_n: int, r: int, exclude_2: bool, any2: bool
-) -> Optional[str]:
-    """Why no multiset of m' heights n_i has the stated sum, parity, range
-    and 2-usage; None when one exists."""
-    if m_prime == 0:
-        if sum_n != 0:
-            return "sum_n nonzero with no twist heights"
-        if any2:
-            return "any_ni_is_2 set with no twist heights"
-        return None
-    if sum_n % 2 != (m_prime * (r - 1)) % 2:
-        return "sum_n parity mismatch"
-    if r % 2 == 1:  # heights even, from {2, 4, ..., r-1}
-        if any2:
-            if exclude_2:
-                return "height 2 forbidden on the elliptic boundary"
-            if not 2 + 2 * (m_prime - 1) <= sum_n <= 2 + (r - 1) * (m_prime - 1):
-                return "sum_n out of range for a multiset containing 2"
-        elif not 4 * m_prime <= sum_n <= (r - 1) * m_prime:
-            return "sum_n out of range for heights >= 4"
-    else:  # heights odd, from {3, 5, ..., r-1}
-        if any2:
-            return "heights are odd, none can be 2"
-        if not 3 * m_prime <= sum_n <= (r - 1) * m_prime:
-            return "sum_n out of range for odd heights"
-    return None
-
-
 def _bar_ell(ell: int, ell_prime: int, m_prime: int, sum_n: int, r: int) -> int:
     # (r-1)m' - sum_n is even once the parity hypothesis holds
     return ell - ell_prime + ((r - 1) * m_prime - sum_n) // 2
@@ -205,11 +177,34 @@ def _check_twisted_heights(t: Tuple, p: RuleParams, gp: int) -> Optional[str]:
         return "d' out of range"
     if gp == 0 and m != 0 and dp <= gp + r:
         return "d' must exceed g' + r when g' = 0 and m > 0"
-    # No clause for ell-bar = (ell - ell') + ((r-1)m' - sum_n)/2 >= 0: every
-    # sum_n that _sum_n_violation admits is at most (r-1)m' (with a height 2,
+    # Some multiset of m' heights n_i has the stated sum, parity, range and
+    # 2-usage.  No clause for ell-bar = (ell - ell') + ((r-1)m' - sum_n)/2 >=
+    # 0: every sum_n admitted below is at most (r-1)m' (with a height 2,
     # 2 + (r-1)(m'-1) <= (r-1)m' as r >= 3), and ell' <= ell.  The tests
     # check this implication over the shell for r 3-20.
-    return _sum_n_violation(mp, sn, r, dp == r + 1 and gp == 1, p.any_ni_is_2)
+    any2 = p.any_ni_is_2
+    if mp == 0:
+        if sn != 0:
+            return "sum_n nonzero with no twist heights"
+        if any2:
+            return "any_ni_is_2 set with no twist heights"
+        return None
+    if sn % 2 != (mp * (r - 1)) % 2:
+        return "sum_n parity mismatch"
+    if r % 2 == 1:  # heights even, from {2, 4, ..., r-1}
+        if any2:
+            if dp == r + 1 and gp == 1:
+                return "height 2 forbidden on the elliptic boundary"
+            if not 2 + 2 * (mp - 1) <= sn <= 2 + (r - 1) * (mp - 1):
+                return "sum_n out of range for a multiset containing 2"
+        elif not 4 * mp <= sn <= (r - 1) * mp:
+            return "sum_n out of range for heights >= 4"
+    else:  # heights odd, from {3, 5, ..., r-1}
+        if any2:
+            return "heights are odd, none can be 2"
+        if not 3 * mp <= sn <= (r - 1) * mp:
+            return "sum_n out of range for odd heights"
+    return None
 
 
 def _check_master_family(offset: int, strict: bool, t: Tuple, p: RuleParams) -> Optional[str]:
@@ -289,14 +284,14 @@ def _check_master_erasable(t: Tuple, p: RuleParams) -> Optional[str]:
 def _goals_master_erasable(t: Tuple, p: RuleParams) -> list[Tuple]:
     lbar = _bar_ell(t.ell, p.ell_prime, p.m_prime, p.sum_n, t.r)
     top = t.m - p.m_prime
-    return [Tuple(p.d_prime - 1, p.g_prime, t.r - 1, lbar, mb) for mb in range(top - p.m_dprime, top + 1)]
+    return [_new(Tuple, (p.d_prime - 1, p.g_prime, t.r - 1, lbar, mb)) for mb in range(top - p.m_dprime, top + 1)]
 
 
 def _gather_lines(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     if t.d < t.g + 2 * t.r - 1:
         return "degree below g + 2r - 1"
     d, g, r, ell, m = t
-    return [Tuple(d - (r - 1), g, r, ell, m)]
+    return [_new(Tuple, (d - (r - 1), g, r, ell, m))]
 
 
 def _peel_onion(t: Tuple, p: RuleParams) -> str | list[Tuple]:
@@ -305,14 +300,14 @@ def _peel_onion(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     if not is_good(t).is_good:
         return "source tuple not good"
     d, g, r, ell, m = t
-    return [Tuple(d - (r - 1), g - r, r, ell, m + 1)]
+    return [_new(Tuple, (d - (r - 1), g - r, r, ell, m + 1))]
 
 
 def _pancake_onions(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     if t.m < t.r - 1:
         return "m below r - 1"
     d, g, r, ell, m = t
-    return [Tuple(d, g, r, ell, m - (r - 1))]
+    return [_new(Tuple, (d, g, r, ell, m - (r - 1)))]
 
 
 def _two_proj(t: Tuple, p: RuleParams) -> str | list[Tuple]:
@@ -330,7 +325,7 @@ def _two_proj(t: Tuple, p: RuleParams) -> str | list[Tuple]:
         return "eps must be strictly below (d - g - r)/2 when g = 0"
     if _window_missed(t, 2 * eps + 1, r - 3):
         return "delta window missed"
-    return [Tuple(d - 2 * eps - 2, g, r - 2, 0, 1)]
+    return [_new(Tuple, (d - 2 * eps - 2, g, r - 2, 0, 1))]
 
 
 def _delta_5(t: Tuple, p: RuleParams) -> str | list[Tuple]:
@@ -339,7 +334,7 @@ def _delta_5(t: Tuple, p: RuleParams) -> str | list[Tuple]:
         return "k below 3"
     if t != (4 * k + 1, 2 * k - 1, 2 * k + 1, 0, 1):
         return "tuple is not (4k+1, 2k-1, 2k+1, 0, 1)"
-    return [Tuple(4 * k - 3, 2 * k - 2, 2 * k - 1, k - 3, 0)]
+    return [_new(Tuple, (4 * k - 3, 2 * k - 2, 2 * k - 1, k - 3, 0))]
 
 
 def _m0_delta_2(t: Tuple, p: RuleParams) -> str | list[Tuple]:
@@ -350,7 +345,7 @@ def _m0_delta_2(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     if _window_missed(t, 2, t.r - 2):
         return "delta window missed"
     d, g, r, ell, m = t
-    return [Tuple(d - 2, g - 1, r - 1, ell + 1, 0)]
+    return [_new(Tuple, (d - 2, g - 1, r - 1, ell + 1, 0))]
 
 
 def _m0_delta_35(t: Tuple, p: RuleParams) -> str | list[Tuple]:
@@ -369,7 +364,7 @@ def _m0_delta_35(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     if _window_missed(t, 2 * eps + 3, r - 4):
         return "delta window missed"
     dd = d - 3 * eps - 6
-    return [Tuple(dd, g - 3, r - 3, ell + 1, 0), Tuple(dd, g - 3, r - 3, ell, 0)]
+    return [_new(Tuple, (dd, g - 3, r - 3, ell + 1, 0)), _new(Tuple, (dd, g - 3, r - 3, ell, 0))]
 
 
 def _m0_delta_4(t: Tuple, p: RuleParams) -> str | list[Tuple]:
@@ -382,7 +377,7 @@ def _m0_delta_4(t: Tuple, p: RuleParams) -> str | list[Tuple]:
     if _window_missed(t, 4, t.r - 3):
         return "delta window missed"
     d, g, r, ell, m = t
-    return [Tuple(d - 5, g - 3, r - 2, ell + 1, 0), Tuple(d - 5, g - 3, r - 2, ell, 0)]
+    return [_new(Tuple, (d - 5, g - 3, r - 2, ell + 1, 0)), _new(Tuple, (d - 5, g - 3, r - 2, ell, 0))]
 
 
 def _delta_1_step(t: Tuple, p: RuleParams) -> str | list[Tuple]:
@@ -393,7 +388,7 @@ def _delta_1_step(t: Tuple, p: RuleParams) -> str | list[Tuple]:
         return "not on the 2d + 2g = 3r - 1 locus"
     if d <= g + r:
         return "degree must exceed g + r"
-    return [Tuple(d - 3, g, r - 2, 0, 0)]
+    return [_new(Tuple, (d - 3, g, r - 2, 0, 0))]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +396,8 @@ def _delta_1_step(t: Tuple, p: RuleParams) -> str | list[Tuple]:
 # that computes its free parameter from the tuple, or None when the window
 # holds no centre, and the rule decides the rest.  A rule with many
 # instances has an enumerator that yields (RuleParams, subgoals) for the
-# parameter choices that meet its guard, in canonical order.
+# parameter choices that meet its guard, in canonical order.  Each builds
+# its RuleParams with `_new`, all 11 fields spelled (sum_n is the eighth).
 
 
 def _window_eps(slack: int, base: int, t: Tuple) -> Optional[RuleParams]:
@@ -411,12 +407,12 @@ def _window_eps(slack: int, base: int, t: Tuple) -> Optional[RuleParams]:
     if t.r < slack:
         return None
     x = _window_centre(delta_numerator(t), t.r - 1, t.r - slack, 1)
-    return None if x is None else RuleParams(eps=(x - base) // 2)
+    return None if x is None else _new(RuleParams, (None,) * 8 + (False, (x - base) // 2, None))
 
 
 def _delta_5_params(t: Tuple) -> RuleParams:
     """The one k with 2k + 1 = r when r is odd."""
-    return RuleParams(k=(t.r - 1) // 2)
+    return _new(RuleParams, (None,) * 8 + (False, None, (t.r - 1) // 2))
 
 
 def _master_family_candidates(
@@ -532,10 +528,8 @@ def _master_erasable_candidates(t: Tuple) -> Iterator[tuple[RuleParams, list[Tup
                             any2 = odd and sn < 4 * mp
                             if any2 and gp == 1 and dp == r + 1:
                                 continue
-                            p = RuleParams(
-                                ell_prime=lp, m_prime=mp, m_dprime=mpp, d_prime=dp, g_prime=gp,
-                                eps_in=e_top - dp, eps_out=eout, sum_n=sn, any_ni_is_2=any2,
-                            )
+                            # all 11 fields: ell', m', m'', d', g', eps_in, eps_out, sum_n, any2, eps, k
+                            p = _new(RuleParams, (lp, mp, mpp, dp, gp, e_top - dp, eout, sn, any2, None, None))
                             yield p, _goals_master_erasable(t, p)
 
 

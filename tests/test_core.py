@@ -3,6 +3,7 @@ and the built-in tables."""
 
 import json
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -188,6 +189,28 @@ def test_interpolation_domain_errors():
         with pytest.raises(DomainError, match="neither 0 nor prime"):
             bn_interpolation(4, 0, 3, char=char)
     assert bn_interpolation(4, 0, 3, char=7).holds
+
+
+def test_interpolation_and_point_counts_refuse_a_field_that_is_not_an_integer():
+    # a float field used to pass as a verdict: bn_interpolation(4, 1, 3.0)
+    # held and max_points(4.5, 1, 3) predicted 9.0 points.  The first
+    # field that is not an int is named; a bool is an int
+    for args, kwargs, name, value in [
+        ((4.0, 1, 3), {}, "d", 4.0),
+        ((4, 1.0, 3), {}, "g", 1.0),
+        ((4, 1, 3.0), {}, "r", 3.0),
+        ((4, 1, "3"), {}, "r", "3"),
+        ((4.5, None, 3), {}, "d", 4.5),
+        ((4, 0, 3), {"char": 2.0}, "char", 2.0),
+        ((4, 0, 3), {"char": None}, "char", None),
+    ]:
+        message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(DomainError, match=message):
+            bn_interpolation(*args, **kwargs)
+        if not kwargs:
+            with pytest.raises(DomainError, match=message):
+                max_points(*args)
+    assert bn_interpolation(4, 0, 3, char=False).holds and max_points(5, 0, 3) == max_points(5, False, 3)
 
 
 def _trial_division(n):

@@ -4,9 +4,11 @@ the sporadic sweep, and the large-r coverage check."""
 
 import copy
 import gc
+import itertools
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -148,6 +150,27 @@ def test_certify_refuses_a_root_neither_good_nor_axiom_before_the_memo():
     # an axiom that is not good is a root like any other
     t = Tuple(6, 4, 3, 0, 0)
     assert certify(t, axioms=AxiomSet(extra=frozenset({t}))).nodes == {t: Axiom("Extra")}
+
+
+def test_certify_and_enumerate_sporadic_refuse_a_field_or_rank_that_is_not_an_integer():
+    # both raised TypeError from range(): certify names its root's first
+    # field that is not an int, before the memo is touched; a bool is an int
+    memo = {}
+    for t, name, value in (
+        (Tuple(13.0, 2, 6, 1, 0), "d", 13.0),
+        (Tuple(13, None, 6, 1, 0), "g", None),
+        (Tuple(13, 2, 6.5, 1, 0), "r", 6.5),
+        (Tuple(13, 2, 6, 1.0, 0.0), "ell", 1.0),
+        (Tuple(13, 2, 6, 1, "0"), "m", "0"),
+    ):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            certify(t, memo=memo)
+    assert memo == {}
+    assert certify(Tuple(13, 2, 6, True, False)).nodes == certify(Tuple(13, 2, 6, 1, 0)).nodes
+    for rank in (5.0, "5", None):
+        with pytest.raises(DomainError, match=f"^rmax must be an integer, got {re.escape(repr(rank))}$"):
+            enumerate_sporadic(rank)
+    assert enumerate_sporadic(True) == []
 
 
 def test_an_extra_axiom_the_master_walk_skips_is_never_its_first_subgoal():
@@ -529,6 +552,45 @@ def test_sweep_tuples_cannot_fire_the_rules_the_sweeps_leave_out(shell):
     assert len(box) > 75_000
 
 
+def _criterion9_sample(seed, n):
+    """n good tuples drawn from the criterion-9 domain (r <= 9, d <= 30): a
+    (d, g, r, ell) cell with rho >= 0, then an m up to rho."""
+    cells = [
+        (d, g, r, ell)
+        for r in range(1, 10) for d in range(1, 31) for g in range(0, d - r + 1) if rho(d, g, r) >= 0
+        for ell in range(0, r // 2 + 1)
+    ]
+    rng = random.Random(seed)
+    out = set()
+    while len(out) < n:
+        d, g, r, ell = rng.choice(cells)
+        t = Tuple(d, g, r, ell, rng.randint(0, rho(d, g, r)))
+        if is_good(t).is_good:
+            out.add(t)
+    return sorted(out)
+
+
+def test_certify_table_leaves_out_only_rules_without_an_instance(shell):
+    # certify tries at a node the rules of its _certify_shape class: the
+    # sweeps' four tests, then g >= r and the delta = 1, ell = m = 0 locus.
+    # On every shell tuple with r 3-12 and a seeded sample of the
+    # criterion-9 domain, a rule the class leaves out has no instance even
+    # when every subgoal is accepted
+    table = prover._CERTIFY_TABLE
+    assert len(table) == 64 and {r for rules in table.values() for r in rules} == set(RuleId)
+    for key, rules in table.items():
+        assert list(rules) == [r for r in RULE_ORDER if r in rules], key
+        assert {RuleId.MASTER, RuleId.MASTER_111, RuleId.MASTER_ERASABLE} <= set(rules), key
+    left_out = {key: [r for r in RULE_ORDER if r not in rules] for key, rules in table.items()}
+    tuples = [t for r in range(3, 13) for t, _in_box in shell(r)] + _criterion9_sample(27, 20_000)
+    checked = 0
+    for t in tuples:
+        for rule in left_out[prover._certify_shape(t)]:
+            assert next(enumerate_instances(rule, t, lambda s: True), None) is None, (t, rule)
+            checked += 1
+    assert len(tuples) > 80_000 and checked > 600_000
+
+
 def test_thm14_first_rank_is_covered():
     rep = verify_thm14(r_max=14)
     assert rep.examined > 5000
@@ -608,23 +670,57 @@ def test_the_shell_count_outside_the_box_matches_goodness_at_ranks_21_to_40(shel
         assert prover._thm14_one_r(r)[2] == expected, r
 
 
+def _assert_built_as_keyword(rule, p, goals):
+    # a RuleParams spelling all its fields, equal to the one built by
+    # keyword from the fields `rule` reads, and subgoals that are Tuples
+    fields = rules_mod._RULES[rule].fields
+    assert type(p) is RuleParams and p == RuleParams(**{f: getattr(p, f) for f in fields})
+    assert rules_mod._parameter_violation(rule, p) is None
+    assert [type(s) for s in goals] == [Tuple] * len(goals)
+
+
 def test_sweep_objects_are_built_as_their_exact_types(shell, monkeypatch):
-    # the master-family RuleParams and the subgoals and sweep tuples are
-    # built with tuple.__new__: each is of its exact type, and each
-    # RuleParams spells all its fields, equal to the one built by keyword
+    # the RuleParams, subgoals, sweep tuples and certificate justifications
+    # are built with tuple.__new__: each is of its exact type, equal to the
+    # one built by keyword
     rng = random.Random(25)
     instances = 0
-    for r in range(3, 11):
-        for t, _in_box in rng.sample(list(shell(r)), 60):
-            for rule in (RuleId.MASTER, RuleId.MASTER_111):
-                fields = rules_mod._RULES[rule].fields
-                for p, goals in enumerate_instances(rule, t):
-                    assert type(p) is RuleParams and p == RuleParams(**{f: getattr(p, f) for f in fields})
-                    assert rules_mod._parameter_violation(rule, p) is None
-                    assert [type(s) for s in goals] == [Tuple] * len(goals)
-                    assert apply(rule, t, p) == goals
-                    instances += 1
-    assert instances > 1_000
+    hit = set()
+    sample = [t for r in range(3, 11) for t, _in_box in rng.sample(list(shell(r)), 60)]
+    for t in sample + [Tuple(13, 5, 7, 0, 1)]:  # and delta-5's tuple at r = 7
+        for rule in RULE_ORDER:
+            # the master family in full, at most two instances of each other rule
+            full = rule in (RuleId.MASTER, RuleId.MASTER_111)
+            for p, goals in itertools.islice(enumerate_instances(rule, t), None if full else 2):
+                _assert_built_as_keyword(rule, p, goals)
+                goals_again = apply(rule, t, p)
+                assert goals_again == goals and [type(s) for s in goals_again] == [Tuple] * len(goals)
+                instances += 1
+                hit.add(rule)
+    assert instances > 1_000 and hit == set(RuleId)
+    # certify and the reader, on a seeded criterion-9 sample and on roots
+    # whose certificates hold every rule and the axioms
+    roots = _criterion9_sample(2501, 300)
+    roots += [Tuple(*v) for v in ((6, 3, 3, 0, 0), (9, 1, 7, 0, 0), (12, 5, 5, 0, 0), (14, 7, 5, 0, 0))]
+    roots += [Tuple(19, 5, 9, 0, 1), Tuple(14, 4, 6, 0, 0), Tuple(13, 2, 6, 1, 0), Tuple(14, 8, 7, 0, 0)]
+    memo = {}
+    kinds = set()
+    for root in roots:
+        cert = certify(root, memo=memo)
+        for nodes in (cert.nodes, Certificate.from_json(json.loads(json.dumps(cert.to_json()))).nodes):
+            for t, j in nodes.items():
+                assert type(t) is Tuple
+                if type(j) is Axiom:
+                    assert j == Axiom(tag=j.tag)
+                    kinds.add(j.tag)
+                    continue
+                assert type(j) is RuleApp and type(j.children) is tuple
+                assert j == RuleApp(rule=j.rule, params=j.params, children=j.children, proviso=j.proviso)
+                _assert_built_as_keyword(j.rule, j.params, j.children)
+                goals = apply(j.rule, t, j.params)
+                assert tuple(goals) == j.children and [type(s) for s in goals] == [Tuple] * len(goals)
+                kinds.add(j.rule)
+    assert kinds == set(RuleId) | {"SmallR", "Delta1Base", "Sporadic30", "CanonicalEven"}
     swept = []
     monkeypatch.setattr(prover, "_dispatch", lambda table, t: swept.append(t))
     for r in range(3, 11):

@@ -301,8 +301,8 @@ def test_twisted_rules_share_one_hypothesis_block(t, ell_prime, m_prime, d_prime
 
 def test_at_r3_every_twist_move_is_refused_before_its_heights(shell):
     # r = 3 leaves 2 as the only height, so every m' >= 1 stops at the r = 3
-    # clause before _sum_n_violation reads sum_n or the flag: that is why
-    # _sum_n_violation has no clause for an odd r without a height >= 4
+    # clause before the sum_n clauses read sum_n or the flag: that is why
+    # they have no clause for an odd r without a height >= 4
     calls = 0
     for t, _in_box in shell(3):
         for mp, sn, any2 in itertools.product((1, 2, 3), (0, 2, 4, 5, 8), (False, True)):
@@ -321,15 +321,20 @@ def test_ell_bar_cannot_be_negative_once_the_shared_hypotheses_hold():
     # sum_n clause imply it.  Exhaustive over the shell's ell range for r
     # 3-20, every m' up to the shell's m range (and a few negative ones, as
     # a certificate may hold any integers), both flags, and sum_n beyond
-    # either end of every admitted range
-    from bninterp.rules import _bar_ell, _sum_n_violation
+    # either end of every admitted range.  The block is asked at (r + 2, 1,
+    # r, 0, 0) with g' = 1 and ell' = 0, where only its sum_n clauses (and,
+    # at r = 3, its m' = 0 clause) can fail; d' = r + 1 puts the subgoal on
+    # the elliptic boundary
+    from bninterp.rules import _bar_ell, _check_twisted_heights
 
     admitted = tight = 0
     for r in range(3, 21):
+        t = Tuple(r + 2, 1, r, 0, 0)
         for mp in range(-2, r + 2):
             for sn in range(-2 * r - 2, (r - 1) * (abs(mp) + 1) + 3):
                 for any2, exclude_2 in itertools.product((False, True), repeat=2):
-                    if _sum_n_violation(mp, sn, r, exclude_2, any2) is not None:
+                    p = RuleParams(ell_prime=0, m_prime=mp, d_prime=r + 2 - exclude_2, sum_n=sn, any_ni_is_2=any2)
+                    if _check_twisted_heights(t, p, 1) is not None:
                         continue
                     for ell in range(0, r // 2 + 1):
                         for lp in range(0, ell + 1):
