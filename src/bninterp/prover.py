@@ -34,61 +34,53 @@ from .rules import (
     first_instance,
 )
 
-# The sweeps' rule tables.  A sweep tuple's shape class is the four tests
-# of `_shape`; each test is part of the guard of the rules that point to it
-# below, so a rule whose test the class fails has no instance on the
-# class's tuples, and the class's rule list leaves it out.  The master
-# family is in every class.  The lists are built once per sweep and looked
-# up once per tuple: filtering the rules per tuple costs more than the
-# attempts it saves.  Rules missing here are in neither sweep, because no
-# sweep tuple meets their guard:
-# - peel-onion needs g >= r; box tuples have g <= r - 1, and the images of
-#   XEX have g <= 2 < 3 <= r;
-# - delta-1-step needs the delta = 1, ell = m = 0 locus, which _in_sweep
-#   excludes.
-# `certify` meets any good tuple, so its table, `_CERTIFY_TABLE`, adds
-# those two guards as tests 4 and 5 of `_certify_shape` and lists every
-# rule.  It looks the table up once per node it expands, and tries the
-# rules there in RULE_ORDER; the rules it leaves out have no instance at
-# the node, so the certificates are the ones a search over every rule gives.
+# The rule table.  A tuple's shape class is the six tests of `_shape`; each
+# test is part of the guard of the rules that point to it below, so a rule
+# whose test the class fails has no instance on the class's tuples, and the
+# class's rule list leaves it out.  A rule missing here is in every class.
+# The tables are built once (the sporadic sweep's once per run) and looked
+# up once per tuple or node, and a class's rules are tried in RULE_ORDER
+# (filtering the rules per tuple costs more than the attempts it saves), so
+# a search finds what a search over every rule finds.  No sweep tuple
+# passes test 4 or 5: box tuples have g <= r - 1, the images of XEX have
+# g <= 2 < 3 <= r, and _in_sweep excludes the locus.  So the sweeps never
+# reach a class that offers peel-onion or delta-1-step.
 _SHAPE_TEST = {
     RuleId.GATHER_LINES: 0,  # d >= g + 2r - 1
+    RuleId.PEEL_ONION: 4,  # g >= r
     RuleId.PANCAKE_ONIONS: 1,  # m >= r - 1
     RuleId.M0_DELTA_2: 2,  # m = 0
     RuleId.M0_DELTA_4: 2,
     RuleId.M0_DELTA_35: 2,
     RuleId.TWO_PROJ: 3,  # ell = 0 and m = 1
     RuleId.DELTA_5: 3,
-    RuleId.MASTER: None,
-    RuleId.MASTER_111: None,
-    RuleId.MASTER_ERASABLE: None,
+    RuleId.DELTA_1_STEP: 5,  # delta = 1 and ell = m = 0
 }
 
 
 def _shape(t: Tuple) -> tuple:
     d, g, r, ell, m = t
-    return (d >= g + 2 * r - 1, m >= r - 1, m == 0, ell == 0 and m == 1)
+    return (d >= g + 2 * r - 1, m >= r - 1, m == 0, ell == 0 and m == 1,
+            g >= r, ell == 0 and m == 0 and 2 * d + 2 * g == 3 * r - 1)
 
 
-def _certify_shape(t: Tuple) -> tuple:
-    d, g, r, ell, m = t
-    return _shape(t) + (g >= r, ell == 0 and m == 0 and 2 * d + 2 * g == 3 * r - 1)
-
-
-def _rule_table(left_out: Collection[RuleId], tests: dict = _SHAPE_TEST) -> dict:
-    """Shape class -> the rules of `tests` not in `left_out` whose shape
-    test the class passes, in RULE_ORDER."""
-    rules = [r for r in RULE_ORDER if r in tests and r not in left_out]
-    width = 1 + max(i for i in tests.values() if i is not None)
+def _rule_table(left_out: Collection[RuleId]) -> dict:
+    """Shape class -> the rules not in `left_out` whose shape test the class
+    passes, in RULE_ORDER.  Raises DomainError on an entry of `left_out`
+    that is not a RuleId."""
+    for rule in left_out:
+        if not isinstance(rule, RuleId):
+            raise DomainError(f"a disabled rule must be a RuleId, got {rule!r}")
+    rules = [r for r in RULE_ORDER if r not in left_out]
     return {
-        key: tuple(r for r in rules if tests[r] is None or key[tests[r]])
-        for key in product((False, True), repeat=width)
+        key: tuple(r for r in rules if r not in _SHAPE_TEST or key[_SHAPE_TEST[r]])
+        for key in product((False, True), repeat=6)
     }
 
 
 # the large-r coverage sweep leaves out the finite-field argument by design
 _THM14_TABLE = _rule_table({RuleId.MASTER_ERASABLE})
-_CERTIFY_TABLE = _rule_table((), {**_SHAPE_TEST, RuleId.PEEL_ONION: 4, RuleId.DELTA_1_STEP: 5})
+_CERTIFY_TABLE = _rule_table(())
 
 PROVISO_DELTA1 = "assumes g > 0 or field characteristic != 2"
 # the hypothesis on the ground field that a rule's validity carries, if any
@@ -296,15 +288,17 @@ def certify(
     memo: Optional[dict] = None,
 ) -> Certificate:
     """Build a reduction certificate for `t`, or raise Irreducible naming
-    `t` when no reduction chain exists.  A root with a field that is not an
-    int, or that is neither good nor an axiom, raises DomainError before the
-    memo is touched.
+    `t` when no reduction chain exists.  A root that is not a `Tuple`, has a
+    field that is not an int, or is neither good nor an axiom raises
+    DomainError before the memo is touched.
 
     `memo` may be shared across calls that use the same axioms; it maps
     tuples to a Justification or to None for tuples already known to
     fail.  A rule instance is only tried when each subgoal is good or an
     axiom, as the root is, so every node the search meets is one.  No rule
     raises r or d, so the search stays within the root's own r and d."""
+    if not isinstance(t, Tuple):
+        raise DomainError(f"the root must be a Tuple, got {type(t).__name__}")
     _check_ints(Tuple._fields, t)
     ax = axioms if axioms is not None else AxiomSet()
     accept = lambda s: is_good(s).is_good or ax.tag_of(s) is not None  # noqa: E731
@@ -332,7 +326,7 @@ def certify(
         for the rules of its shape class.  Yields each subgoal that `settle`
         leaves open and is sent back whether it was certified; returns
         whether `node` was."""
-        for rule in _CERTIFY_TABLE[_certify_shape(node)]:
+        for rule in _CERTIFY_TABLE[_shape(node)]:
             for params, goals in enumerate_instances(rule, node, accept):
                 for child in goals:
                     ok = settle(child, depth + 1)
@@ -454,13 +448,26 @@ def _rows(r: int):
     and off the delta = 1, ell = m = 0 locus, so `_in_sweep` holds.  The row
     gives d >= g + r, 2 ell <= r and m <= rho; the residue clause binds only
     at g = m = 0; and every XEX member has m <= 1, on d = g + r of a box row.
-    So the sweeps test box tuples for goodness only at m <= 1, and outside
-    the box only the residue clause fails: at g = m = 0 and r >= 2, for the
-    ((1 - d) % (r - 1) + 1) // 2 values of ell below ((1 - d) % (r - 1)) / 2."""
+    So `_box`, the lemma's one user, tests box tuples for goodness only at
+    m <= 1, and outside the box only the residue clause fails: at g = m = 0
+    and r >= 2, for the ((1 - d) % (r - 1) + 1) // 2 values of ell below
+    ((1 - d) % (r - 1)) / 2, which `_thm14_one_r` subtracts from its count."""
     for g in range(0, r + 2):
         for d in range(g + r, g + 2 * r + 3):
             m_box = (r - 2 + (1 if g == 0 else 0)) if g <= r - 1 and d <= g + 2 * r - 1 else -1
             yield g, d, min(rho(d, g, r), r + 1), m_box
+
+
+def _box(r: int):
+    """The rank-r box tuples the sweeps dispatch, in sweep order: each row's box
+    part that `_in_sweep` admits, asked only at m <= 1 by the lemma of `_rows`."""
+    ells = r // 2 + 1
+    for g, d, m_top, m_box in _rows(r):
+        for ell in range(0, ells):
+            for m in range(0, (m_top if m_top < m_box else m_box) + 1):
+                t = _new(Tuple, (d, g, r, ell, m))
+                if m > 1 or _in_sweep(t):  # the lemma of _rows
+                    yield t
 
 
 def _in_sweep(t: Tuple) -> bool:
@@ -476,14 +483,7 @@ def enumerate_sporadic(r_max: int = 13) -> list:
     locus are excluded (they are handled by their own descent).  Listed in
     sweep order.  Raises DomainError on an r_max that is not an integer."""
     _check_ints(("rmax",), (r_max,))
-    out = []  # _rows yields the box in sweep order
-    for r in range(3, r_max + 1):
-        for g, d, m_top, m_box in _rows(r):
-            for ell in range(0, r // 2 + 1):
-                for m in range(0, min(m_top, m_box) + 1):
-                    t = _new(Tuple, (d, g, r, ell, m))
-                    if m > 1 or _in_sweep(t):  # the lemma of _rows
-                        out.append(t)
+    out = [t for r in range(3, r_max + 1) for t in _box(r)]
     # an image has m >= r - 1 and g >= 1, so it is not in the box
     for t in (Tuple(x.d, x.g, x.r, x.ell, x.m + x.r - 1) for x in XEX if x.r <= r_max):
         if _in_sweep(t):
@@ -534,12 +534,13 @@ def run_sporadic_search(
     """Try to reduce every sporadic-sweep tuple once, accepting subgoals by
     goodness, and report the irreducible remainder.  Serial and parallel
     runs give equal reports.  Raises DomainError on a bad worker count, then
-    on an r_max that is not an integer, then on r_max < 3."""
+    on an r_max that is not an integer, then on r_max < 3, then on a
+    `disabled` entry that is not a RuleId."""
     workers = check_workers(workers)
     _check_ints(("rmax",), (r_max,))
     if r_max < 3:
         raise DomainError(f"rmax {r_max} leaves no rank to sweep (the sweep starts at r = 3)")
-    table = _rule_table(set(disabled))
+    table = _rule_table(tuple(disabled))
     # The witness table holds about five collector-tracked objects per tuple
     # and no reference cycle, so each collection during the build would only
     # walk it again.  The collector is paused while it is built (forked
@@ -582,18 +583,15 @@ class Thm14Report:
 
 def _thm14_one_r(r: int) -> tuple:
     """(box tuples examined, uncovered; good shell tuples outside the box) at
-    rank r, building only box tuples: the rest is counted by the lemma of `_rows`."""
+    rank r: `_box` gives the box, and the rest is counted per row by the lemma of `_rows`."""
     examined = checked = 0
     uncovered = []
+    for t in _box(r):
+        examined += 1
+        if _dispatch(_THM14_TABLE, t) is None:
+            uncovered.append(t)
     ells = r // 2 + 1
     for g, d, m_top, m_box in _rows(r):
-        for ell in range(0, ells):
-            for m in range(0, (m_top if m_top < m_box else m_box) + 1):
-                t = _new(Tuple, (d, g, r, ell, m))
-                if m > 1 or _in_sweep(t):
-                    examined += 1
-                    if _dispatch(_THM14_TABLE, t) is None:
-                        uncovered.append(t)
         checked += ells * (m_top - m_box if m_top > m_box else 0)
         if m_box < 0 and g == 0 and r >= 2:  # less the ell whose residue clause fails at m = 0
             checked -= ((1 - d) % (r - 1) + 1) // 2

@@ -173,6 +173,26 @@ def test_certify_and_enumerate_sporadic_refuse_a_field_or_rank_that_is_not_an_in
     assert enumerate_sporadic(True) == []
 
 
+def test_certify_refuses_a_root_that_is_not_a_tuple_before_the_memo():
+    # a plain tuple raised AttributeError at the depth cap, a 4-tuple
+    # ValueError and a list TypeError; each is named by its type
+    memo = {}
+    roots = ((13, 2, 6, 1, 0), (13, 2, 6, 1), [13, 2, 6, 1, 0], None)
+    for root, kind in zip(roots, ("tuple", "tuple", "list", "NoneType")):
+        with pytest.raises(DomainError, match=f"^the root must be a Tuple, got {kind}$"):
+            certify(root, memo=memo)
+    assert memo == {}
+
+
+def test_the_sporadic_sweep_refuses_a_disabled_entry_that_is_not_a_rule(monkeypatch):
+    # the string "master" was silently ignored and the full sweep ran; each
+    # entry is refused, named, before any tuple is built
+    monkeypatch.setattr(prover, "enumerate_sporadic", lambda r_max: pytest.fail("the sweep ran"))
+    for entry in ("master", None, ["master"]):
+        with pytest.raises(DomainError, match=f"^a disabled rule must be a RuleId, got {re.escape(repr(entry))}$"):
+            run_sporadic_search(6, disabled=[RuleId.GATHER_LINES, entry])
+
+
 def test_an_extra_axiom_the_master_walk_skips_is_never_its_first_subgoal():
     # s = (4, 1, 3, 0, 2) has m = 2 > rho = 1.  The master walk skips every
     # instance whose first subgoal fails m <= rho, so it never offers the
@@ -497,36 +517,24 @@ def test_disabling_rules_only_shrinks_reducibility():
     assert len(crippled.irreducible) > len(full.irreducible)
 
 
-def test_section8_rules_exclude_the_degeneration_moves():
-    # each shape class of the coverage sweep lists the sporadic sweep's
-    # rules for it, in rule order, but master-erasable
-    sporadic = prover._rule_table(())
-    assert len(sporadic) == 16 and sporadic.keys() == prover._THM14_TABLE.keys()
-    for key, rules in sporadic.items():
-        assert list(rules) == [r for r in RULE_ORDER if r in rules], key
-        assert prover._THM14_TABLE[key] == tuple(r for r in rules if r is not RuleId.MASTER_ERASABLE)
-    offered = {r for rules in prover._THM14_TABLE.values() for r in rules}
-    assert RuleId.MASTER_ERASABLE not in offered
-    assert RuleId.DELTA_1_STEP not in offered
-    # peel-onion is left out too: no sweep tuple has g >= r
-    assert offered == set(RuleId) - {RuleId.MASTER_ERASABLE, RuleId.DELTA_1_STEP, RuleId.PEEL_ONION}
-
-
-def test_rule_table_leaves_out_only_rules_without_an_instance(shell):
-    # every shell tuple with r 3-20 and every image of XEX under the inverse
-    # pancake step: a rule its shape class leaves out has no instance there
-    # even when every subgoal is accepted
-    table = prover._rule_table(())
-    offered = {r for rules in table.values() for r in rules}
-    left_out = {key: [r for r in RULE_ORDER if r in offered and r not in rules] for key, rules in table.items()}
-    images = [Tuple(x.d, x.g, x.r, x.ell, x.m + x.r - 1) for x in XEX]
-    tuples = [t for r in range(3, 21) for t, _in_box in shell(r)]
-    checked = 0
-    for t in tuples + images:
-        for rule in left_out[prover._shape(t)]:
-            assert next(enumerate_instances(rule, t, lambda s: True), None) is None, (t, rule)
-            checked += 1
-    assert len(tuples) > 500_000 and checked > 3_000_000
+def test_section8_rules_exclude_the_degeneration_moves(shell):
+    # the coverage sweep's table is the full table less master-erasable,
+    # class by class
+    full = prover._rule_table(())
+    assert prover._THM14_TABLE.keys() == full.keys()
+    for key, rules in full.items():
+        assert prover._THM14_TABLE[key] == tuple(r for r in rules if r is not RuleId.MASTER_ERASABLE), key
+    # every sweep tuple falls in a class failing test 4 (g >= r) and test 5
+    # (the delta = 1, ell = m = 0 locus), so no sweep is offered peel-onion
+    # or delta-1-step; the r 14-16 box is _box's, which is the shell's box
+    # part that _in_sweep admits
+    box = [t for r in (14, 15, 16) for t in prover._box(r)]
+    assert box == [t for r in (14, 15, 16) for t, in_box in shell(r) if in_box and prover._in_sweep(t)]
+    for t in enumerate_sporadic(13) + box:
+        key = prover._shape(t)
+        assert not key[4] and not key[5], t
+        assert RuleId.PEEL_ONION not in full[key] and RuleId.DELTA_1_STEP not in full[key], t
+    assert len(box) == 78_048
 
 
 def test_disabled_rules_compose_with_the_rule_table():
@@ -570,25 +578,27 @@ def _criterion9_sample(seed, n):
     return sorted(out)
 
 
-def test_certify_table_leaves_out_only_rules_without_an_instance(shell):
-    # certify tries at a node the rules of its _certify_shape class: the
-    # sweeps' four tests, then g >= r and the delta = 1, ell = m = 0 locus.
-    # On every shell tuple with r 3-12 and a seeded sample of the
-    # criterion-9 domain, a rule the class leaves out has no instance even
-    # when every subgoal is accepted
-    table = prover._CERTIFY_TABLE
+def test_rule_table_leaves_out_only_rules_without_an_instance(shell):
+    # one table serves certify and both sweeps: a class of _shape's six
+    # tests lists its rules in RULE_ORDER and the master family in full.  On
+    # every shell tuple with r 3-20, every image of XEX under the inverse
+    # pancake step and a seeded sample of the criterion-9 domain, a rule the
+    # class leaves out has no instance even when every subgoal is accepted
+    table = prover._rule_table(())
+    assert table == prover._CERTIFY_TABLE
     assert len(table) == 64 and {r for rules in table.values() for r in rules} == set(RuleId)
     for key, rules in table.items():
         assert list(rules) == [r for r in RULE_ORDER if r in rules], key
         assert {RuleId.MASTER, RuleId.MASTER_111, RuleId.MASTER_ERASABLE} <= set(rules), key
     left_out = {key: [r for r in RULE_ORDER if r not in rules] for key, rules in table.items()}
-    tuples = [t for r in range(3, 13) for t, _in_box in shell(r)] + _criterion9_sample(27, 20_000)
+    images = [Tuple(x.d, x.g, x.r, x.ell, x.m + x.r - 1) for x in XEX]
+    tuples = [t for r in range(3, 21) for t, _in_box in shell(r)] + images + _criterion9_sample(27, 20_000)
     checked = 0
     for t in tuples:
-        for rule in left_out[prover._certify_shape(t)]:
+        for rule in left_out[prover._shape(t)]:
             assert next(enumerate_instances(rule, t, lambda s: True), None) is None, (t, rule)
             checked += 1
-    assert len(tuples) > 80_000 and checked > 600_000
+    assert len(tuples) > 590_000 and checked > 4_900_000
 
 
 def test_thm14_first_rank_is_covered():

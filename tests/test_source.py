@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,24 @@ def test_each_convention_has_one_owner():
     tree = ast.parse(Path(erase.__file__).read_text(encoding="utf-8"))
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_place"]
     assert "_parse_rule" not in (Path(bninterp.__file__).parent / "cli.py").read_text(encoding="utf-8")
+
+
+def test_the_searches_share_one_shape_and_one_box_walk():
+    # one six-test _shape feeds the tables of certify and both sweeps, built
+    # by one _rule_table(left_out); only _box builds a Tuple in a loop over
+    # the rows of _rows
+    assert list(inspect.signature(prover._rule_table).parameters) == ["left_out"]
+    tree = ast.parse(Path(prover.__file__).read_text(encoding="utf-8"))
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    assert "_certify_shape" not in {f.name for f in functions}
+    builders = set()
+    for fn in functions:
+        for loop in ast.walk(fn):
+            gens = getattr(loop, "generators", [loop] if isinstance(loop, ast.For) else [])
+            over_rows = [g for g in gens if isinstance(g.iter, ast.Call) and getattr(g.iter.func, "id", None) == "_rows"]
+            if over_rows and any(isinstance(n, ast.Name) and n.id == "Tuple" for n in ast.walk(loop)):
+                builders.add(fn.name)
+    assert builders == {"_box"}
 
 
 def test_the_rule_layer_states_its_domain_and_its_order_once():
