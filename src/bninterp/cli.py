@@ -88,8 +88,14 @@ def _file_errors(what: str):
     error naming its role (`axioms file: ...`) instead of a traceback."""
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         _fail_input(f"{what} file: {e}")
+
+
+def _read_json(what: str, path, parse):
+    """parse(the JSON document in the file at `path`), under `_file_errors(what)`."""
+    with _file_errors(what), open(path, "r", encoding="utf-8") as fh:
+        return parse(json.load(fh))
 
 
 def _check_writable(what: str, path) -> None:
@@ -220,11 +226,8 @@ def sporadic(rmax, disabled, workers, csv_path, expected, fmt):
     """Sweep every candidate small-r tuple through the reduction rules and
     report which remain irreducible.  Exit 3 when the irreducible set
     differs from the expected table (filtered to r <= RMAX)."""
-    if expected is not None:
-        with _file_errors("expected"), open(expected, "r", encoding="utf-8") as fh:
-            want = {_tuple_from_json(row) for row in _list_field(json.load(fh), "sporadic30")}
-    else:
-        want = set(SPORADIC30)
+    rows = lambda doc: [_tuple_from_json(row) for row in _list_field(doc, "sporadic30")]  # noqa: E731
+    want = SPORADIC30 if expected is None else _read_json("expected", expected, rows)
     want = {t for t in want if t.r <= rmax}
     _check_writable("csv", csv_path)
     report = run_sporadic_search(r_max=rmax, disabled=map(RuleId, disabled), workers=workers)
@@ -293,10 +296,7 @@ def thm14(rmax, rmin, workers, fmt):
 
 
 def _load_axioms(path) -> AxiomSet:
-    if path is None:
-        return AxiomSet()
-    with _file_errors("axioms"):
-        return AxiomSet.load(path)
+    return AxiomSet() if path is None else _read_json("axioms", path, AxiomSet.from_json)
 
 
 @main.command(name="certify")
@@ -319,8 +319,8 @@ def certify_cmd(d, g, r, ell, m, json_path, axioms_path):
         click.echo(f"internal error: fresh certificate fails verification: {res.code} {res.detail}", err=True)
         sys.exit(3)
     if json_path is not None:
-        with _file_errors("certificate"):
-            cert.dump(json_path)
+        with _file_errors("certificate"), open(json_path, "w", encoding="utf-8") as fh:
+            fh.write(cert.text())
         click.echo(f"certificate with {len(cert.nodes)} nodes written to {json_path}")
     else:
         click.echo(cert.text(), nl=False)
@@ -333,8 +333,7 @@ def verify_cmd(certificate, axioms_path):
     """Re-check a certificate file independently of the search that built
     it.  Exit 0 when sound, 3 when any node fails."""
     ax = _load_axioms(axioms_path)
-    with _file_errors("certificate"):
-        cert = Certificate.read(certificate)
+    cert = _read_json("certificate", certificate, Certificate.from_json)
     res = verify_certificate(cert, axioms=ax)
     if res:
         rules_used = sorted({j.rule.value for j in cert.nodes.values() if isinstance(j, RuleApp)})

@@ -157,11 +157,6 @@ class AxiomSet:
         rows = _list_field(doc, "axioms") if "axioms" in _json_object(doc) else ()
         return cls(extra=frozenset(_tuple_from_json(_field(row, "tuple")) for row in rows))
 
-    @classmethod
-    def load(cls, path: str) -> "AxiomSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
 
 # ---------------------------------------------------------------------------
 # certificates
@@ -271,15 +266,6 @@ class Certificate:
     def text(self) -> str:
         """The certificate file: `to_json` indented by one, ending in a newline."""
         return json.dumps(self.to_json(), indent=1) + "\n"
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.text())
-
-    @classmethod
-    def read(cls, path: str) -> "Certificate":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def certify(

@@ -207,23 +207,17 @@ def _check_twisted_heights(t: Tuple, p: RuleParams, gp: int) -> Optional[str]:
     return None
 
 
-def _check_master_family(offset: int, strict: bool, t: Tuple, p: RuleParams) -> Optional[str]:
+def _check_master_family(offset: int, t: Tuple, p: RuleParams) -> Optional[str]:
     """Master (offset 0) and Master-111 (offset 1, strict forms m' < m and
     2m' + ell' < r - 2)."""
     why = _check_twisted_heights(t, p, t.g)
     if why is not None:
         return why
     lp, mp, r = p.ell_prime, p.m_prime, t.r
-    if strict:
-        if not 0 <= mp < t.m:
-            return "m' must be strictly below m"
-        if 2 * mp + lp >= r - 2:
-            return "2m' + ell' must be strictly below r - 2"
-    else:
-        if not 0 <= mp <= t.m:
-            return "m' out of range"
-        if 2 * mp + lp > r - 2:
-            return "2m' + ell' exceeds r - 2"
+    if not 0 <= mp <= t.m - offset:
+        return "m' must be strictly below m" if offset else "m' out of range"
+    if 2 * mp + lp > r - 2 - offset:
+        return "2m' + ell' must be strictly below r - 2" if offset else "2m' + ell' exceeds r - 2"
     if _window_missed(t, offset + lp + 2 * (t.d - p.d_prime) + p.sum_n, r - 2):
         return "delta window missed"
     return None
@@ -416,7 +410,7 @@ def _delta_5_params(t: Tuple) -> RuleParams:
 
 
 def _master_family_candidates(
-    offset: int, strict: bool, goals: Callable, t: Tuple
+    offset: int, goals: Callable, t: Tuple
 ) -> Iterator[tuple[RuleParams, list[Tuple]]]:
     """(ell', m', d', sum_n, any2) in lexicographic order.
 
@@ -437,8 +431,8 @@ def _master_family_candidates(
     x0 = -((k - 1 - n) // k)
     x1 = x0 + 1 if x0 * k < n else None
     centres = (x1, x0) if x0 % 2 else (x0, x1)
-    cap = r - 3 if strict else r - 2  # bound on 2m' + ell'
-    m_top = m - 1 if strict else m
+    cap = r - 2 - offset  # bound on 2m' + ell'
+    m_top = m - offset
     dp_lo = g + r + 1 if g == 0 and m != 0 else g + r
     odd = r % 2 == 1
     n_lo = 2 if odd else 3  # least height: even heights from 2, odd from 3
@@ -552,13 +546,13 @@ def _checked(check: Callable, goals: Callable, t: Tuple, p: RuleParams) -> str |
     return goals(t, p) if why is None else why
 
 
-def _master_family_rule(offset: int, strict: bool, formula: Callable) -> _Rule:
+def _master_family_rule(offset: int, formula: Callable) -> _Rule:
     # positional partials: a keyword partial builds a dict on every call
-    check = partial(_check_master_family, offset, strict)
+    check = partial(_check_master_family, offset)
     return _Rule(
         partial(_checked, check, partial(_goals_master_family, formula)),
         ("ell_prime", "m_prime", "d_prime", "sum_n", "any_ni_is_2"),
-        candidates=partial(_master_family_candidates, offset, strict, formula),
+        candidates=partial(_master_family_candidates, offset, formula),
         check=check,
     )
 
@@ -574,8 +568,8 @@ _RULES: dict[RuleId, _Rule] = {
     RuleId.TWO_PROJ: _Rule(_two_proj, ("eps",), partial(_window_eps, 3, 1)),
     RuleId.DELTA_5: _Rule(_delta_5, ("k",), _delta_5_params),
     RuleId.DELTA_1_STEP: _Rule(_delta_1_step),
-    RuleId.MASTER: _master_family_rule(0, False, _master_goals),
-    RuleId.MASTER_111: _master_family_rule(1, True, _master_111_goals),
+    RuleId.MASTER: _master_family_rule(0, _master_goals),
+    RuleId.MASTER_111: _master_family_rule(1, _master_111_goals),
     RuleId.MASTER_ERASABLE: _Rule(
         partial(_checked, _check_master_erasable, _goals_master_erasable),
         ("ell_prime", "m_prime", "m_dprime", "d_prime", "g_prime", "eps_in", "eps_out", "sum_n", "any_ni_is_2"),

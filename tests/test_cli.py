@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, and file emission."""
 
+import copy
 import hashlib
 import json
 import os
@@ -10,9 +11,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bninterp
-from bninterp import cli
+from bninterp import Tuple, certify, cli, constants_as_json
 from bninterp.cli import main
 from bninterp.prover import Irreducible
 from bninterp.rules import RuleId
@@ -237,6 +240,38 @@ def test_sporadic_csv_bytes_are_pinned(runner, tmp_path):
     assert digest == "9a596e81c36d802aee82b1cda9f4a77d1a023802306c1a1deeed10bf13cff357"
 
 
+# the digests and the report that .github/workflows/tests.yml checks with
+# the installed console script
+_CI_PINS = [
+    (["certify", 19, 5, 9, 0, 1, "--json"], 0, "55611897385844677f1584ba9d2341a9564f47605fdfed2b0e3780e9570b27fe"),
+    (["certify", 14, 4, 6, 0, 0, "--json"], 0, "dd9717baab2022b7c0b29c40fc77f62ae292d5e9a30d12132aa6f9a958b76539"),
+    (["certify", 6, 3, 3, 0, 0, "--json"], 0, "2d3dfd3921793c6fca612d89cab1e3978c5b6e997e6372c55c5e499b2f63a426"),
+    (["certify", 9, 1, 7, 0, 0, "--json"], 0, "ae38111b41f5a652a100e38ba1f7db05c4180c2591f4c9015723a2eef6728adf"),
+    (["certify", 12, 5, 5, 0, 0, "--json"], 0, "1a433b505e56c34ba0a4995d797b82c270f7f091c2d66946e1cf09e6328f0384"),
+    (["certify", 14, 7, 5, 0, 0, "--json"], 0, "c9c829c2e7ad04c9103cad93484315fecefecfc626782e335d9bc8c49d5f0904"),
+    (["sporadic", "--rmax", 9, "--disable-rule", "gather-lines", "--csv"], 3,
+     "ce6e86d77c8db64f1db411c3cdbc325648ffaa26d020dba6b05d19668bfc9354"),
+    (["thm14", "--rmax", 16, "--format", "json"], 0,
+     '{"rmin": 14, "rmax": 16, "examined": 78048, "outside_checked": 50157, "uncovered": [], "outside_uncovered": []}'),
+]
+
+
+@pytest.mark.parametrize("args, code, pin", _CI_PINS, ids=["d5", "m35", "peel", "d1", "two", "m111", "s9", "thm14"])
+def test_the_outputs_ci_checks_are_pinned(runner, tmp_path, args, code, pin):
+    # an argument list ending in an option takes the output file, whose
+    # sha256 is pinned; otherwise the printed report is
+    out = tmp_path / "out"
+    if str(args[-1]).startswith("--"):
+        res = run(runner, *args, out)
+        assert res.exit_code == code, res.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
+    else:
+        res = run(runner, *args)
+        assert res.exit_code == code and res.output == pin + "\n", res.output
+    if args[0] == "certify":
+        assert run(runner, "verify", out).exit_code == 0
+
+
 def test_sporadic_expected_rows_must_be_a_list(runner, tmp_path):
     out = tmp_path / "constants.json"
     out.write_text(json.dumps({"sporadic30": 5}))
@@ -374,6 +409,80 @@ def test_a_deeply_nested_json_file_is_an_input_error(tmp_path, args, key, what):
     proc = _fresh_cli(*args, path)
     assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr[-500:]
     assert proc.stderr.startswith(f"error: {what} file: "), proc.stderr[-500:]
+
+
+class _Parsed(Exception):
+    """Raised in place of the work a command does once its file is read."""
+
+
+_GONE = object()  # an edit that deletes the subtree
+_KEYS = ["version", "root", "nodes", "tuple", "justification", "kind", "rule", "params", "children",
+         "proviso", "tag", "axioms", "sporadic30", "ell_prime", "m_prime", "d_prime", "sum_n", "any_ni_is_2"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3) | st.sampled_from(_KEYS + ["axiom", "master", "gather-lines", "SmallR"])
+    | st.lists(st.integers(0, 15), min_size=5, max_size=5),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _subtree_paths(doc, path=()):
+    yield path
+    for key, v in doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ():
+        yield from _subtree_paths(v, path + (key,))
+
+
+def _replaced(doc, path, value):
+    """`doc` with the subtree at `path` replaced by `value` or deleted."""
+    if not path:
+        return doc if value is _GONE else value
+    out = copy.deepcopy(doc)
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    if value is _GONE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "args, work, what",
+    [
+        (["verify"], "verify_certificate", "certificate"),
+        (["certify", 13, 2, 6, 1, 0, "--axioms"], "_certify", "axioms"),
+        (["sporadic", "--rmax", 3, "--expected"], "run_sporadic_search", "expected"),
+    ],
+    ids=["certificate", "axioms", "expected"],
+)
+def test_a_reader_refuses_any_edited_document_with_a_value_error(runner, tmp_path, monkeypatch, args, work, what):
+    # any JSON value in place of any subtree of a valid document, or the
+    # subtree deleted, is read or refused with a ValueError, which the CLI
+    # reports as an input error; any other exception would escape _file_errors
+    doc = {
+        "certificate": certify(Tuple(13, 2, 6, 1, 0)).to_json(),
+        "axioms": {"axioms": [{"tuple": [9, 9, 9, 0, 0], "citation": "assumed"}, {"tuple": [-20, 0, 0, 0, 0]}]},
+        "expected": json.loads(constants_as_json()),
+    }[what]
+
+    def parsed(*args, **kwargs):
+        raise _Parsed
+
+    monkeypatch.setattr(cli, work, parsed)
+    path = tmp_path / "doc.json"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(_subtree_paths(doc))), _JSON_VALUES | st.just(_GONE))
+    def check(where, value):
+        path.write_text(json.dumps(_replaced(doc, where, value)))
+        res = run(runner, *args, path)
+        if not isinstance(res.exception, _Parsed):
+            assert isinstance(res.exception, SystemExit) and res.exit_code == 1, repr(res.exception)
+            assert res.output.startswith(f"error: {what} file: "), res.output
+
+    check()
 
 
 def test_readers_refuse_a_top_level_array_and_name_a_missing_key(runner, tmp_path):

@@ -260,6 +260,8 @@ def test_splitting_type_criterion():
     assert splitting_type_interpolation([5])
     assert not splitting_type_interpolation([1, 3])
     assert not splitting_type_interpolation([-2, -1])
+    with pytest.raises(DomainError, match="^empty splitting type$"):
+        splitting_type_interpolation([])
 
 
 def test_constant_tables_and_json_dump():

@@ -387,6 +387,15 @@ def test_every_entry_point_refuses_a_key_that_is_not_a_type(decide, coll):
         decide(coll, 3)
 
 
+@pytest.mark.parametrize(
+    "decide", [is_erasable, erasable_fast, brute_force_erasable, erasable_under_all_orders]
+)
+def test_every_entry_point_refuses_a_negative_count(decide):
+    # the CLI refuses one before the library sees it; a library caller meets this check
+    with pytest.raises(CalculusError, match=r"^negative count for ModType\(t1=1, t2=0, strength='strong'\)$"):
+        decide(Counter({ModType(1, 0): -1, ModType(2, 1): 1}), 3)
+
+
 @contextlib.contextmanager
 def _within(seconds):
     """Raise TimeoutError in the body after `seconds`: a search that never

@@ -88,7 +88,7 @@ def test_no_tuple_certifies_where_interpolation_fails():
 def test_extra_axioms_from_file(tmp_path):
     p = tmp_path / "ax.json"
     p.write_text(json.dumps({"axioms": [{"tuple": [9, 9, 9, 0, 0], "citation": "external fact"}]}))
-    ax = AxiomSet.load(str(p))
+    ax = AxiomSet.from_json(json.loads(p.read_text()))
     t = Tuple(9, 9, 9, 0, 0)
     assert ax.tag_of(t) == "Extra"
     cert = certify(t, axioms=ax)
@@ -221,6 +221,45 @@ def test_irreducible_names_a_good_root_with_no_chain(monkeypatch):
     assert e.value.tuple == t and memo == {t: None}
 
 
+@pytest.mark.parametrize("how", ["memo", "expansion"])
+def test_certify_backtracks_past_a_child_that_fails(monkeypatch, how):
+    # gather-lines' one child fails, known from the memo or found when it is
+    # expanded with no instance of its own, so the root moves on to its next
+    # instance: master, whose child is (10, 2, 5, 1, 0)
+    t, blocked = Tuple(13, 2, 6, 1, 0), Tuple(8, 2, 6, 1, 0)
+    assert certify(t).nodes[t].children == (blocked,)
+    memo = {blocked: None} if how == "memo" else {}
+    if how == "expansion":
+        real = prover.enumerate_instances
+        monkeypatch.setattr(prover, "enumerate_instances", lambda rule, s, accept: iter(()) if s == blocked else real(rule, s, accept))
+    cert = certify(t, memo=memo)
+    j = cert.nodes[t]
+    assert j.rule is RuleId.MASTER and j.children == (Tuple(10, 2, 5, 1, 0),)
+    assert memo[blocked] is None and blocked not in cert.nodes
+    assert verify_certificate(cert)
+
+
+def test_certify_raises_irreducible_when_every_route_is_blocked(monkeypatch):
+    # only the root has instances, so each child fails when expanded or, met
+    # again, from the memo; the root backtracks past every instance
+    t = Tuple(13, 2, 6, 1, 0)
+    real = prover.enumerate_instances
+    offered = []
+
+    def root_only(rule, s, accept):
+        for p, goals in real(rule, s, accept) if s == t else ():
+            offered.append(goals)
+            yield p, goals
+
+    monkeypatch.setattr(prover, "enumerate_instances", root_only)
+    memo = {}
+    with pytest.raises(Irreducible) as e:
+        certify(t, memo=memo)
+    children = {s for goals in offered for s in goals}
+    assert e.value.tuple == t and len(offered) > len(children) > 1
+    assert memo == dict.fromkeys(children | {t})
+
+
 def test_the_sweeps_refuse_an_empty_rank_range():
     # the CLI prints these texts as `error: ...`; the worker count is checked first
     with pytest.raises(DomainError, match=r"^rmax 2 leaves no rank to sweep \(the sweep starts at r = 3\)$"):
@@ -340,6 +379,26 @@ def test_verify_detects_tampering():
     # root without a node
     res = verify_certificate(Certificate(root=Tuple(1, 1, 1, 1, 1), nodes=dict(cert.nodes)))
     assert not res and res.code == "RootMissing"
+
+
+def test_verify_refuses_a_justification_of_another_type():
+    # a plain tuple equal to Axiom("SmallR") is neither an Axiom nor a RuleApp
+    cert = certify(Tuple(3, 0, 3, 0, 0))
+    child = Tuple(2, 0, 2, 0, 0)
+    assert ("SmallR",) == cert.nodes[child]
+    res = verify_certificate(Certificate(root=cert.root, nodes={**cert.nodes, child: ("SmallR",)}))
+    assert not res and (res.code, res.detail) == ("BadJustification", f"{child}: ('SmallR',)")
+
+
+def test_verify_refuses_an_edge_that_does_not_decrease_the_measure(monkeypatch):
+    # a rule that re-runs to its own node, stored to match, passes every
+    # check before the measure's
+    t = Tuple(13, 2, 6, 1, 0)
+    cert = certify(t)
+    monkeypatch.setattr(prover, "apply", lambda rule, node, params: [node])
+    nodes = {**cert.nodes, t: cert.nodes[t]._replace(children=(t,))}
+    res = verify_certificate(Certificate(root=t, nodes=nodes))
+    assert not res and (res.code, res.detail) == ("MeasureViolation", f"{t} -> {t} does not decrease (r, d, m)")
 
 
 def test_enumerate_sporadic_matches_inline_box_at_r3():

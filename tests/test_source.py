@@ -31,6 +31,21 @@ def test_cli_has_one_output_path():
     assert (Path(bninterp.__file__).parent / "cli.py").read_text(encoding="utf-8").count('fmt == "json"') == 1
 
 
+def test_only_the_cli_opens_files():
+    # the library reads and writes documents (from_json, to_json and
+    # Certificate.text); bninterp.cli opens every file it names
+    file_calls = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+    openers = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in file_calls
+    }
+    assert openers == {"cli.py"}
+    for cls, name in ((prover.AxiomSet, "load"), (prover.Certificate, "read"), (prover.Certificate, "dump")):
+        assert not hasattr(cls, name), name
+
+
 def test_each_input_is_refused_once_in_the_library():
     # certify owns its root test and the sweeps check their worker counts
     # and ranks; the CLI restates neither, and settle tests no goodness
