@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from .core import (
     COUNTEREXAMPLE_TRIPLES, SPORADIC30, XEX, DomainError, InvariantViolated, Tuple,
@@ -174,7 +174,6 @@ class RuleApp(NamedTuple):
     proviso: Optional[str] = None
 
 
-Justification = Union[Axiom, RuleApp]
 _RULE_BY_NAME = {rule.value: rule for rule in RuleId}
 
 
@@ -279,10 +278,10 @@ def certify(
     DomainError before the memo is touched.
 
     `memo` may be shared across calls that use the same axioms; it maps
-    tuples to a Justification or to None for tuples already known to
-    fail.  A rule instance is only tried when each subgoal is good or an
-    axiom, as the root is, so every node the search meets is one.  No rule
-    raises r or d, so the search stays within the root's own r and d."""
+    tuples to an Axiom or RuleApp, or to None for tuples known to fail.
+    Each subgoal of an instance tried is good or an axiom, as the root is.
+    A subgoal to be expanded whose (r, d, m) is not below its parent's
+    raises InvariantViolated: the search stops by the measure `verify_certificate` checks."""
     if not isinstance(t, Tuple):
         raise DomainError(f"the root must be a Tuple, got {type(t).__name__}")
     _check_ints(Tuple._fields, t)
@@ -291,32 +290,31 @@ def certify(
     if not accept(t):
         raise DomainError(f"tuple is not good ({', '.join(is_good(t).failures)}) and is not an axiom")
     mm = {} if memo is None else memo
-    depth_cap = t.r + t.d + t.m + 8
 
-    def settle(node: Tuple, depth: int) -> Optional[bool]:
+    def settle(node: Tuple) -> Optional[bool]:
         """Whether `node` is certified (True) or known to fail (False), from
-        the memo or its axiom tag; None when its rules must be tried, which
-        the depth cap bounds."""
+        the memo or its axiom tag; None when its rules must be tried."""
         if node in mm:
             return mm[node] is not None
         tag = ax.tag_of(node)
         if tag is not None:
             mm[node] = _new(Axiom, (tag,))
             return True
-        if depth > depth_cap:
-            raise InvariantViolated(f"reduction depth blew past {depth_cap} at {node}")
         return None
 
-    def expand(node: Tuple, depth: int):
+    def expand(node: Tuple):
         """Try the rule instances of `node` in order, subgoals left to right,
         for the rules of its shape class.  Yields each subgoal that `settle`
-        leaves open and is sent back whether it was certified; returns
-        whether `node` was."""
+        leaves open, after checking that it lowers (r, d, m), and is sent
+        back whether it was certified; returns whether `node` was."""
+        at = measure(node)
         for rule in _CERTIFY_TABLE[_shape(node)]:
             for params, goals in enumerate_instances(rule, node, accept):
                 for child in goals:
-                    ok = settle(child, depth + 1)
+                    ok = settle(child)
                     if ok is None:
+                        if not measure(child) < at:
+                            raise InvariantViolated(f"{node} -> {child} does not decrease (r, d, m)")
                         ok = yield child
                     if not ok:
                         break  # backtrack to the next instance
@@ -327,10 +325,10 @@ def certify(
         return False
 
     # Depth-first over an explicit stack of suspended expansions, so the
-    # length of a reduction chain is bounded by the depth cap, not by
-    # Python's recursion limit.  The expansion at index i is of a node at
-    # depth i.
-    stack = [] if settle(t, 0) is not None else [expand(t, 0)]
+    # measure bounds a reduction chain, not Python's recursion limit: every
+    # expanded node is good (r >= 1, d >= 1, m >= 0), and (r, d, m) falls
+    # strictly down the stack, so no node on it is met again.
+    stack = [] if settle(t) is not None else [expand(t)]
     ok = None
     while stack:
         try:
@@ -339,7 +337,7 @@ def certify(
             stack.pop()
             ok = finished.value
         else:
-            stack.append(expand(child, len(stack)))
+            stack.append(expand(child))
             ok = None
     if mm[t] is None:
         raise Irreducible(t)

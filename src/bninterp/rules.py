@@ -223,22 +223,18 @@ def _check_master_family(offset: int, t: Tuple, p: RuleParams) -> Optional[str]:
     return None
 
 
-def _master_goals(t: Tuple, dp: int, lbar: int, mbar: int) -> list[Tuple]:
-    return [_new(Tuple, (dp - 1, t.g, t.r - 1, lbar, mbar))]
-
-
-def _master_111_goals(t: Tuple, dp: int, lbar: int, mbar: int) -> list[Tuple]:
+def _master_family_goals(offset: int, t: Tuple, dp: int, lbar: int, mbar: int) -> list[Tuple]:
+    """Master's one subgoal; master-111 (offset 1) adds two after it."""
     g, r = t.g, t.r
-    return [
-        _new(Tuple, (dp - 1, g, r - 1, lbar, mbar)),
-        _new(Tuple, (dp - 1, g, r - 1, lbar, mbar - 1)),
-        _new(Tuple, (dp - 2, g, r - 2, lbar, mbar)),
-    ]
+    first = _new(Tuple, (dp - 1, g, r - 1, lbar, mbar))
+    if not offset:
+        return [first]
+    return [first, _new(Tuple, (dp - 1, g, r - 1, lbar, mbar - 1)), _new(Tuple, (dp - 2, g, r - 2, lbar, mbar))]
 
 
-def _goals_master_family(formula: Callable, t: Tuple, p: RuleParams) -> list[Tuple]:
+def _goals_master_family(offset: int, t: Tuple, p: RuleParams) -> list[Tuple]:
     lbar = _bar_ell(t.ell, p.ell_prime, p.m_prime, p.sum_n, t.r)
-    return formula(t, p.d_prime, lbar, t.m - p.m_prime)
+    return _master_family_goals(offset, t, p.d_prime, lbar, t.m - p.m_prime)
 
 
 def _erasable_collection(t: Tuple, lp: int, mp: int, mpp: int, gp: int, eout: int):
@@ -409,9 +405,7 @@ def _delta_5_params(t: Tuple) -> RuleParams:
     return _new(RuleParams, (None,) * 8 + (False, None, (t.r - 1) // 2))
 
 
-def _master_family_candidates(
-    offset: int, goals: Callable, t: Tuple
-) -> Iterator[tuple[RuleParams, list[Tuple]]]:
+def _master_family_candidates(offset: int, t: Tuple) -> Iterator[tuple[RuleParams, list[Tuple]]]:
     """(ell', m', d', sum_n, any2) in lexicographic order.
 
     X = offset + ell' + 2(d - d') + sum_n, and sum_n has the parity of
@@ -482,7 +476,7 @@ def _master_family_candidates(
                     continue
                 # all 11 fields: ell', m', m'', d', g', eps_in, eps_out, sum_n, any2, eps, k
                 p = _new(RuleParams, (lp, mp, None, dp, None, None, None, sn, any2, None, None))
-                yield p, goals(t, dp, a - dp, mbar)
+                yield p, _master_family_goals(offset, t, dp, a - dp, mbar)
 
 
 def _master_erasable_candidates(t: Tuple) -> Iterator[tuple[RuleParams, list[Tuple]]]:
@@ -546,13 +540,13 @@ def _checked(check: Callable, goals: Callable, t: Tuple, p: RuleParams) -> str |
     return goals(t, p) if why is None else why
 
 
-def _master_family_rule(offset: int, formula: Callable) -> _Rule:
+def _master_family_rule(offset: int) -> _Rule:
     # positional partials: a keyword partial builds a dict on every call
     check = partial(_check_master_family, offset)
     return _Rule(
-        partial(_checked, check, partial(_goals_master_family, formula)),
+        partial(_checked, check, partial(_goals_master_family, offset)),
         ("ell_prime", "m_prime", "d_prime", "sum_n", "any_ni_is_2"),
-        candidates=partial(_master_family_candidates, offset, formula),
+        candidates=partial(_master_family_candidates, offset),
         check=check,
     )
 
@@ -568,8 +562,8 @@ _RULES: dict[RuleId, _Rule] = {
     RuleId.TWO_PROJ: _Rule(_two_proj, ("eps",), partial(_window_eps, 3, 1)),
     RuleId.DELTA_5: _Rule(_delta_5, ("k",), _delta_5_params),
     RuleId.DELTA_1_STEP: _Rule(_delta_1_step),
-    RuleId.MASTER: _master_family_rule(0, _master_goals),
-    RuleId.MASTER_111: _master_family_rule(1, _master_111_goals),
+    RuleId.MASTER: _master_family_rule(0),
+    RuleId.MASTER_111: _master_family_rule(1),
     RuleId.MASTER_ERASABLE: _Rule(
         partial(_checked, _check_master_erasable, _goals_master_erasable),
         ("ell_prime", "m_prime", "m_dprime", "d_prime", "g_prime", "eps_in", "eps_out", "sum_n", "any_ni_is_2"),

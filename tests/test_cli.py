@@ -335,6 +335,7 @@ def test_delta1_base_stops_at_g_below_1(runner, tmp_path, t):
 
 def test_certify_an_axiom_root_with_a_negative_depth_cap(runner, tmp_path):
     # r + d + m + 8 = -12: this root raised InvariantViolated as a traceback
+    # when certify had a depth cap of that size
     ax = tmp_path / "ax.json"
     ax.write_text(json.dumps({"axioms": [{"tuple": [-20, 0, 0, 0, 0]}]}))
     cert = tmp_path / "c.json"

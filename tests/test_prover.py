@@ -541,18 +541,35 @@ def test_check_workers_rejects_below_one_and_clamps_to_cpu_count(monkeypatch):
 
 
 def test_certify_depth_cap_is_an_explicit_check(monkeypatch):
-    # a rule table that loops a tuple back onto itself runs into the depth
-    # cap, which must hold under `python -O` as well
+    # a rule table that loops a tuple back onto itself is stopped by the
+    # measure check, which must hold under `python -O` as well
     def self_loop(rule, t, accept):
         yield RuleParams(), [t]
 
     monkeypatch.setattr(prover, "enumerate_instances", self_loop)
-    with pytest.raises(InvariantViolated, match="depth"):
+    with pytest.raises(InvariantViolated, match=r"does not decrease \(r, d, m\)"):
         certify(Tuple(13, 2, 6, 1, 0))
 
 
+def test_certify_refuses_a_subgoal_that_raises_the_measure(monkeypatch):
+    # an instance whose subgoal has a higher (r, d, m) than its node: certify
+    # used to return a 7-node certificate here that only verify refused
+    root, up = Tuple(13, 2, 6, 1, 0), Tuple(14, 2, 6, 1, 0)
+    real = prover.enumerate_instances
+
+    def rising(rule, t, accept):
+        if t != root:
+            return real(rule, t, accept)
+        return iter([(RuleParams(), [up])] if rule is RuleId.GATHER_LINES else [])
+
+    monkeypatch.setattr(prover, "enumerate_instances", rising)
+    with pytest.raises(InvariantViolated, match=re.escape(f"{root} -> {up} does not decrease (r, d, m)")):
+        certify(root)
+
+
 def test_an_axiom_root_certifies_whatever_its_depth_cap():
-    # r + d + m + 8 < 0 here: the cap bounds expansion, not an axiom's lookup
+    # an axiom root is settled before anything is expanded or measured,
+    # even one whose r + d + m + 8 is negative
     t = Tuple(-20, 0, 0, 0, 0)
     ax = AxiomSet(extra=frozenset({t}))
     cert = certify(t, axioms=ax)
@@ -677,6 +694,20 @@ def test_the_shell_check_holds_on_every_tuple_outside_the_box(shell):
     # every shell row has rho >= g >= 0, so no row is empty
     assert all(rho(d, g, r) >= g >= 0 for r in range(3, 41) for g, d, _top, _box in prover._rows(r))
     assert [t for t in outside if not (t.g >= t.r or t.d >= t.g + 2 * t.r - 1 or t.m >= t.r - 1)] == []
+
+
+def test_the_shell_lemma_every_good_tuple_outside_the_box_peels_to_a_good_one(shell):
+    # exhaustive over r 3-30: each good shell tuple above the box has a
+    # gather-lines, pancake-onions or peel-onion instance whose subgoal is
+    # good.  The one exception is a Sporadic30 axiom, the image of XEX's
+    # (5, 2, 3, 0, 0) under one inverse pancake step
+    peels = (RuleId.GATHER_LINES, RuleId.PANCAKE_ONIONS, RuleId.PEEL_ONION)
+    good = lambda s: is_good(s).is_good  # noqa: E731
+    outside = [t for r in range(3, 31) for t, in_box in shell(r) if not in_box and good(t)]
+    assert len(outside) == 986_075
+    stuck = [t for t in outside if not any(first_instance(rule, t, good) for rule in peels)]
+    assert stuck == [Tuple(5, 2, 3, 0, 2)]
+    assert stuck[0] in SPORADIC30 and Tuple(5, 2, 3, 0, 0) in XEX
 
 
 def test_thm14_report_at_rank_16_is_pinned():

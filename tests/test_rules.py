@@ -51,7 +51,8 @@ def _unpruned_master_family(rule, t):
     `rules._master_family_candidates` without the cuts that skip a
     candidate whose first subgoal fails 2 ell-bar <= r-1 or m-bar <= rho:
     each (ell', m') cell solves the window for its one centre X, and
-    sum_n = c + 2d' runs over the heights' range."""
+    sum_n = c + 2d' runs over the heights' range.  Its subgoals are written
+    out here, so it shares no formula with `rules`."""
     offset, strict = (0, False) if rule is RuleId.MASTER else (1, True)
     d, g, r, ell, m = t
     if r < 3:
@@ -67,7 +68,6 @@ def _unpruned_master_family(rule, t):
     dp_lo = g + r + 1 if g == 0 and m != 0 else g + r
     odd = r % 2 == 1
     n_lo = 2 if odd else 3
-    formula = rules_mod._master_goals if rule is RuleId.MASTER else rules_mod._master_111_goals
     for lp in range(0, min(ell, cap) + 1):
         for mp in range(0, min(m_top, (cap - lp) // 2) + 1):
             x = centres[(offset + lp + mp * k) % 2]
@@ -81,7 +81,11 @@ def _unpruned_master_family(rule, t):
                     continue
                 p = RuleParams(ell_prime=lp, m_prime=mp, d_prime=dp, sum_n=sn, any_ni_is_2=any2)
                 # ell-bar = (ell - ell') + ((r-1)m' - sum_n)/2 and m-bar = m - m'
-                yield p, formula(t, dp, ell - lp + (mp * k - sn) // 2, m - mp)
+                lbar, mbar = ell - lp + (mp * k - sn) // 2, m - mp
+                goals = [Tuple(dp - 1, g, r - 1, lbar, mbar)]
+                if strict:  # master-111 also reduces to m-bar - 1 and to rank r - 2
+                    goals += [Tuple(dp - 1, g, r - 1, lbar, mbar - 1), Tuple(dp - 2, g, r - 2, lbar, mbar)]
+                yield p, goals
 
 
 def _instances(rule, t):

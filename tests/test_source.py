@@ -144,6 +144,26 @@ def test_each_master_rule_has_one_walk():
         assert name not in src, name
 
 
+def test_certify_stops_by_the_measure():
+    # settle and expand take only the node: no depth is threaded through the
+    # search, and no cap stands beside the measure check
+    tree = ast.parse(Path(prover.__file__).read_text(encoding="utf-8"))
+    (certify,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "certify"]
+    inner = {n.name: n for n in ast.walk(certify) if isinstance(n, ast.FunctionDef)}
+    for name in ("settle", "expand"):
+        assert [a.arg for a in inner[name].args.args] == ["node"], name
+    assert not [n for n in ast.walk(certify) if isinstance(n, ast.Name) and n.id == "depth_cap"]
+
+
+def test_master_111_is_master_at_offset_1():
+    # the offset alone picks the rule: no subgoal formula is passed beside it
+    assert list(inspect.signature(rules._master_family_rule).parameters) == ["offset"]
+    assert list(inspect.signature(rules._master_family_candidates).parameters) == ["offset", "t"]
+    assert list(inspect.signature(rules._goals_master_family).parameters) == ["offset", "t", "p"]
+    for name in ("_master_goals", "_master_111_goals"):
+        assert not hasattr(rules, name), name
+
+
 def test_importing_the_cli_does_not_load_multiprocessing():
     # only the forking branch of the parallel map uses it, and imports it there
     src = str(Path(bninterp.__file__).parent.parent)
