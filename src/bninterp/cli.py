@@ -109,15 +109,6 @@ def _check_writable(what: str, path) -> None:
                 os.remove(path)
 
 
-_WORKERS = click.option(
-    "--workers",
-    type=int,
-    default=1,
-    show_default=True,
-    help="Worker processes, at most the CPU count.",
-)
-
-
 class _Main(click.Group):
     """The command group.  Usage errors (unknown option or command, missing
     or malformed argument; click's code 2 means a negative answer here) and
@@ -218,11 +209,10 @@ def max_points_cmd(d, g, r, fmt):
     type=click.Choice([rule.value for rule in RuleId]),
     help="Rule name to leave out (repeatable).",
 )
-@_WORKERS
 @click.option("--csv", "csv_path", type=click.Path(), default=None, help="Write per-tuple rows to a CSV file.")
 @click.option("--expected", type=click.Path(), default=None, help="JSON constants file (integer rows) to compare the irreducible set against (default: built-in table).")
 @_FORMAT
-def sporadic(rmax, disabled, workers, csv_path, expected, fmt):
+def sporadic(rmax, disabled, csv_path, expected, fmt):
     """Sweep every candidate small-r tuple through the reduction rules and
     report which remain irreducible.  Exit 3 when the irreducible set
     differs from the expected table (filtered to r <= RMAX)."""
@@ -230,7 +220,7 @@ def sporadic(rmax, disabled, workers, csv_path, expected, fmt):
     want = SPORADIC30 if expected is None else _read_json("expected", expected, rows)
     want = {t for t in want if t.r <= rmax}
     _check_writable("csv", csv_path)
-    report = run_sporadic_search(r_max=rmax, disabled=map(RuleId, disabled), workers=workers)
+    report = run_sporadic_search(r_max=rmax, disabled=map(RuleId, disabled))
     got = set(report.irreducible)
 
     if csv_path is not None:
@@ -266,7 +256,7 @@ def sporadic(rmax, disabled, workers, csv_path, expected, fmt):
 @main.command()
 @click.option("--rmax", type=int, required=True)
 @click.option("--rmin", type=int, default=14, show_default=True)
-@_WORKERS
+@click.option("--workers", type=int, default=1, show_default=True, help="Worker processes, at most the CPU count.")
 @_FORMAT
 def thm14(rmax, rmin, workers, fmt):
     """Confirm that for every r in [RMIN, RMAX] the sweep rules dispatch
@@ -353,13 +343,14 @@ def _parse_mods(strong, weak):
     for strength, values in ((STRONG, strong), (WEAK, weak)):
         for item in values:
             left, eq, right = item.partition("=")
-            count = int(right) if eq else 1
-            i_str, sep, j_str = left.partition(",")
-            if not sep:
-                raise ValueError(f"expected i,j[=count], got {item!r}")
+            try:
+                i_str, j_str = left.split(",")
+                i, j, count = int(i_str), int(j_str), int(right) if eq else 1
+            except ValueError:
+                raise ValueError(f"expected i,j[=count], got {item!r}") from None
             if count < 0:
                 raise ValueError(f"negative count in {item!r}")
-            out[ModType(int(i_str), int(j_str), strength)] += count
+            out[ModType(i, j, strength)] += count
     return out
 
 

@@ -264,6 +264,14 @@ def _is_prime(n: int) -> bool:
     return all(pow(a, odd, n) == 1 or any(pow(a, odd << j, n) == n - 1 for j in range(s)) for a in _SPRP_BASES)
 
 
+def _check_bn_curve(d: int, g: int, r: int) -> None:
+    """Raise DomainError unless some BN-curve of degree d and genus g in P^r exists."""
+    if g < 0:
+        raise DomainError(f"no curve has negative genus, got g = {g}")
+    if rho(d, g, r) < 0:
+        raise DomainError(f"no BN-curve exists: rho({d}, {g}, {r}) = {rho(d, g, r)} < 0")
+
+
 def bn_interpolation(d: int, g: int, r: int, char: int = 0) -> InterpolationVerdict:
     """Decide interpolation for the general BN-curve of degree d, genus g in P^r.
 
@@ -278,10 +286,7 @@ def bn_interpolation(d: int, g: int, r: int, char: int = 0) -> InterpolationVerd
         raise DomainError(f"characteristic {char} is neither 0 nor prime")
     if r < 1 or d < 1:
         raise DomainError(f"need r >= 1 and d >= 1, got (d, g, r) = ({d}, {g}, {r})")
-    if g < 0:
-        raise DomainError(f"no curve has negative genus, got g = {g}")
-    if rho(d, g, r) < 0:
-        raise DomainError(f"no BN-curve exists: rho({d}, {g}, {r}) = {rho(d, g, r)} < 0")
+    _check_bn_curve(d, g, r)
     if (d, g, r) in COUNTEREXAMPLE_TRIPLES:
         return InterpolationVerdict(False, "SporadicException", (d, g, r))
     if char == 2 and g == 0 and r >= 2 and reduced_residue(d - 1, r - 1) != 0:
@@ -299,10 +304,7 @@ def max_points(d: int, g: int, r: int) -> PointCountAnswer:
     _check_ints(("d", "g", "r"), (d, g, r))
     if r < 3:
         raise DomainError(f"point counts need r >= 3, got r = {r}")
-    if g < 0:
-        raise DomainError(f"no curve has negative genus, got g = {g}")
-    if rho(d, g, r) < 0:
-        raise DomainError(f"no BN-curve exists: rho({d}, {g}, {r}) < 0")
+    _check_bn_curve(d, g, r)
     predicted = ((r + 1) * d - (r - 3) * (g - 1)) // (r - 1)
     bound = EXCEPTION_POINT_BOUNDS.get((d, g, r))
     return PointCountAnswer(predicted, bound is not None, bound)

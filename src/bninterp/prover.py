@@ -16,7 +16,6 @@ import json
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
@@ -109,7 +108,7 @@ def check_workers(workers: int) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def _pmap(fn: Callable, items: list, workers: int, chunksize: int = 1) -> list:
+def _pmap(fn: Callable, items: list, workers: int) -> list:
     """[fn(x) for x in items], spread over at most `workers` forked
     processes (a count check_workers returned); in-process when one suffices."""
     n = min(workers, len(items))
@@ -118,7 +117,7 @@ def _pmap(fn: Callable, items: list, workers: int, chunksize: int = 1) -> list:
     import multiprocessing  # here, so that importing the package does not load it
 
     with multiprocessing.get_context("fork").Pool(n) as pool:
-        return pool.map(fn, items, chunksize=chunksize)
+        return pool.map(fn, items)
 
 
 # ---------------------------------------------------------------------------
@@ -513,30 +512,24 @@ class SporadicReport:
 def run_sporadic_search(
     r_max: int = 13,
     disabled: Iterable[RuleId] = (),
-    workers: int = 1,
 ) -> SporadicReport:
     """Try to reduce every sporadic-sweep tuple once, accepting subgoals by
-    goodness, and report the irreducible remainder.  Serial and parallel
-    runs give equal reports.  Raises DomainError on a bad worker count, then
-    on an r_max that is not an integer, then on r_max < 3, then on a
-    `disabled` entry that is not a RuleId."""
-    workers = check_workers(workers)
+    goodness, and report the irreducible remainder.  Raises DomainError on an
+    r_max that is not an integer, then on r_max < 3, then on a `disabled`
+    entry that is not a RuleId."""
     _check_ints(("rmax",), (r_max,))
     if r_max < 3:
         raise DomainError(f"rmax {r_max} leaves no rank to sweep (the sweep starts at r = 3)")
     table = _rule_table(tuple(disabled))
     # The witness table holds about five collector-tracked objects per tuple
     # and no reference cycle, so each collection during the build would only
-    # walk it again.  The collector is paused while it is built (forked
-    # workers inherit the pause) and the caller's setting is restored however
-    # the build ends.
+    # walk it again.  The collector is paused while it is built and the
+    # caller's setting is restored however the build ends.
     enabled = gc.isenabled()
     gc.disable()
     try:
         tuples = enumerate_sporadic(r_max)
-        # positional: a keyword partial builds a dict on every call
-        found = _pmap(partial(_dispatch, table), tuples, workers, chunksize=64)
-        witnesses = dict(zip(tuples, found))
+        witnesses = {t: _dispatch(table, t) for t in tuples}
     finally:
         if enabled:
             gc.enable()

@@ -51,7 +51,7 @@ def _report(capsys, n, ok, detail):
 
 def test_criterion_1_thirty_case_table(capsys):
     t0 = time.time()
-    rep = run_sporadic_search(r_max=13, workers=1)
+    rep = run_sporadic_search(r_max=13)
     elapsed = time.time() - t0
     found = set(rep.irreducible)
     expected = set(SPORADIC30)

@@ -123,10 +123,15 @@ def test_sporadic_unknown_rule_name(runner):
 
 
 def test_workers_below_one_is_an_input_error(runner):
-    for cmd in ("sporadic", "thm14"):
-        res = run(runner, cmd, "--rmax", 14 if cmd == "thm14" else 3, "--workers", 0)
-        assert res.exit_code == 1, res.output
-        assert "workers" in res.output
+    res = run(runner, "thm14", "--rmax", 14, "--workers", 0)
+    assert res.exit_code == 1, res.output
+    assert "workers" in res.output
+
+
+def test_sporadic_has_no_workers_option(runner):
+    # the sweep runs in one process; --workers is thm14's alone
+    res = run(runner, "sporadic", "--rmax", 3, "--workers", 2)
+    assert res.exit_code == 1 and "No such option '--workers'" in res.output, res.output
 
 
 def test_sporadic_expected_file(runner, tmp_path):
@@ -535,8 +540,10 @@ def test_erasable_command(runner):
     assert res.exit_code == 0 and "erasable" in res.output
     res = run(runner, "erasable", "--r", 4, "--s", "1,1")
     assert res.exit_code == 2 and "not erasable" in res.output
-    res = run(runner, "erasable", "--r", 4, "--s", "oops")
-    assert res.exit_code == 1
+    # a malformed item is named, whatever part of it fails to parse
+    for item in ("oops", "1,0,0", "1,0=", "x,0", "1,0=x"):
+        res = run(runner, "erasable", "--r", 3, "--s", item)
+        assert res.exit_code == 1 and f"error: expected i,j[=count], got '{item}'" in res.output, res.output
     res = run(runner, "erasable", "--r", 3, "--w", "1,0", "--format", "json")
     doc = json.loads(res.output)
     assert doc["erasable"] is False and res.exit_code == 2

@@ -252,6 +252,9 @@ def test_max_points_formula_and_exceptions():
         max_points(4, 0, 2)
     with pytest.raises(DomainError, match="^no curve has negative genus, got g = -1$"):
         max_points(5, -1, 3)
+    # the same message as bn_interpolation's, which names the value of rho
+    with pytest.raises(DomainError, match=r"^no BN-curve exists: rho\(3, 1, 3\) = -3 < 0$"):
+        max_points(3, 1, 3)
 
 
 def test_splitting_type_criterion():

@@ -47,8 +47,9 @@ def test_only_the_cli_opens_files():
 
 
 def test_each_input_is_refused_once_in_the_library():
-    # certify owns its root test and the sweeps check their worker counts
-    # and ranks; the CLI restates neither, and settle tests no goodness
+    # certify owns its root test, verify_thm14 checks its worker count and
+    # the sweeps their ranks; the CLI restates neither, and settle tests no
+    # goodness
     cli_src = (Path(bninterp.__file__).parent / "cli.py").read_text(encoding="utf-8")
     for name in ("tag_of", "check_workers", "_parse_workers"):
         assert name not in cli_src, name
@@ -164,9 +165,25 @@ def test_master_111_is_master_at_offset_1():
         assert not hasattr(rules, name), name
 
 
+def test_only_thm14_forks_workers():
+    # the sporadic sweep runs in one process: with two workers it was slower
+    # at every rank bound measured, as pickling its witnesses back cost about
+    # as much as the work the workers split
+    assert list(inspect.signature(prover.run_sporadic_search).parameters) == ["r_max", "disabled"]
+    assert list(inspect.signature(prover._pmap).parameters) == ["fn", "items", "workers"]
+
+
+def _loads_multiprocessing(code: str) -> bool:
+    src = str(Path(bninterp.__file__).parent.parent)
+    code += "; import sys; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    return out.stdout.strip() == "True"
+
+
 def test_importing_the_cli_does_not_load_multiprocessing():
     # only the forking branch of the parallel map uses it, and imports it there
-    src = str(Path(bninterp.__file__).parent.parent)
-    code = "import sys; import bninterp.cli; print('multiprocessing' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert not _loads_multiprocessing("import bninterp.cli")
+
+
+def test_a_sporadic_sweep_does_not_load_multiprocessing():
+    assert not _loads_multiprocessing("from bninterp import run_sporadic_search; run_sporadic_search(5)")
